@@ -35,7 +35,7 @@ bool replay_file(const std::filesystem::path& path) {
                              std::istreambuf_iterator<char>());
   const auto* bytes = contents.empty()
                           ? nullptr
-                          : reinterpret_cast<const std::uint8_t*>(  // lint:allow(no-reinterpret-cast)
+                          : reinterpret_cast<const std::uint8_t*>(
                                 contents.data());
   (void)LLVMFuzzerTestOneInput(bytes, contents.size());
   return true;

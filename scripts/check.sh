@@ -2,17 +2,18 @@
 # CI entrypoint for the parser-hardening quality gate.
 #
 # Runs, in order:
-#   1. tier-1: default build + full ctest (includes the origin_lint and
-#      origin_analyze gates and the deterministic fuzz-corpus replays)
-#   2. origin_analyze over the full src/ tree: the hot-path allocation,
-#      determinism, layering, transitive-hot, lock-order, and
-#      error-propagation contracts must have zero unwaived findings AND
-#      zero findings drift — every waived finding must already appear in
-#      the committed analyze_findings.json baseline, so a new waiver
-#      cannot land without the baseline diff showing up in review. The
-#      per-pass finding counts print at the end of the leg; the fresh
-#      machine-readable findings land in analyze_findings.json at the
-#      repo root (committing that file is how the baseline is updated)
+#   1. tier-1: default build + full ctest (includes the origin_analyze
+#      gates and the deterministic fuzz-corpus replays)
+#   2. one origin_analyze run over the full src/ tree: the hot-path
+#      allocation, determinism, layering, lint (per-line source rules),
+#      transitive-hot, lock-order, and error-propagation contracts must
+#      have zero unwaived findings AND zero findings drift — every waived
+#      finding must already appear in the committed analyze_findings.json
+#      baseline, so a new waiver cannot land without the baseline diff
+#      showing up in review. The per-pass finding counts (lint included)
+#      print at the end of the leg; the fresh machine-readable findings
+#      land in analyze_findings.json at the repo root (committing that file
+#      is how the baseline is updated)
 #   3. clang-tidy over the parser directories, when clang-tidy is on PATH
 #      (advisory skip otherwise — the pinned CI image is gcc-only)
 #   4. ASan preset build + full ctest
@@ -58,8 +59,8 @@
 #      than 10 points over the committed BENCH_crash.json)
 #
 # Usage: scripts/check.sh [--quick]
-#   --quick   tier-1 + lint + analyze only; skip the sanitizer rebuilds and
-#             perf leg.
+#   --quick   tier-1 + analyze only; skip the sanitizer rebuilds and perf
+#             leg.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -74,7 +75,7 @@ run_suite() {
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
 }
 
-echo "==> [1/10] tier-1 build + ctest (lint + analyze + fuzz replays included)"
+echo "==> [1/10] tier-1 build + ctest (analyze + fuzz replays included)"
 run_suite build
 
 echo "==> [2/10] origin_analyze contract gate (full src/ tree, drift-checked)"

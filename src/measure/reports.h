@@ -67,12 +67,12 @@ class DatasetReport {
   std::map<std::uint32_t, std::string> asn_org_;
   std::map<web::HttpVersion, std::uint64_t> protocol_requests_;
   std::uint64_t secure_requests_ = 0;
-  std::map<std::string, std::uint64_t> issuer_validations_;  // lint:allow(no-string-keyed-tree)
+  std::map<std::string, std::uint64_t> issuer_validations_;  // analyze:allow(no-string-keyed-tree): sorted report table, see above
   std::uint64_t total_validations_ = 0;
   std::map<web::ContentType, std::uint64_t> content_requests_;
   std::map<std::uint32_t, std::map<web::ContentType, std::uint64_t>>
       asn_content_;
-  std::map<std::string, std::uint64_t> hostname_requests_;  // lint:allow(no-string-keyed-tree)
+  std::map<std::string, std::uint64_t> hostname_requests_;  // analyze:allow(no-string-keyed-tree): sorted report table, see above
   origin::util::Histogram unique_as_histogram_;
 
   std::vector<double> plt_ms_;

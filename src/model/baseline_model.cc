@@ -1,6 +1,6 @@
 // Seed implementation, frozen as the golden reference for the interned
 // hot path. See baseline_model.h. The string-keyed tree containers are the
-// point of this file, hence the lint waivers.
+// point of this file, hence the no-string-keyed-tree waivers.
 #include "model/baseline_model.h"
 
 #include <algorithm>
@@ -41,9 +41,9 @@ PageAnalysis BaselineCoalescingModel::analyze(const web::PageLoad& load) const {
 
   auto coalescable = [](const web::HarEntry& entry) { return entry.secure; };
 
-  std::set<std::string> groups_seen;        // lint:allow(no-string-keyed-tree)
-  std::set<std::string> solo_tls_hosts;     // lint:allow(no-string-keyed-tree)
-  std::set<std::string> plaintext_hosts;    // lint:allow(no-string-keyed-tree)
+  std::set<std::string> groups_seen;      // analyze:allow(no-string-keyed-tree): frozen seed oracle, string keys on purpose
+  std::set<std::string> solo_tls_hosts;   // analyze:allow(no-string-keyed-tree): frozen seed oracle, string keys on purpose
+  std::set<std::string> plaintext_hosts;  // analyze:allow(no-string-keyed-tree): frozen seed oracle, string keys on purpose
   std::set<dns::IpAddress> addresses_seen;
   std::size_t ip_connections = 0;
 

@@ -24,7 +24,7 @@ CertPlan CertPlanner::plan(const web::PageLoad& load) const {
 
   // Sorted order is the point here: additions feed the SAN list in
   // deterministic lexicographic order.
-  std::set<std::string> needed;  // lint:allow(no-string-keyed-tree)
+  std::set<std::string> needed;  // analyze:allow(no-string-keyed-tree): the SAN list is built in sorted order
   for (const auto& entry : load.entries) {
     if (entry.hostname == load.base_hostname) continue;
     if (!entry.secure) continue;  // plaintext hosts cannot ride the cert

@@ -58,9 +58,9 @@ struct PlannerAggregate {
   // how many sites that provider hosts. Sorted order is the point (the
   // table prints providers/hostnames lexicographically), so these stay on
   // std::map rather than the interned flat containers.
-  std::map<std::string, std::map<std::string, std::size_t>>  // lint:allow(no-string-keyed-tree)
+  std::map<std::string, std::map<std::string, std::size_t>>  // analyze:allow(no-string-keyed-tree): Table 9 prints providers and hostnames sorted
       provider_addition_counts;
-  std::map<std::string, std::size_t> provider_site_counts;  // lint:allow(no-string-keyed-tree)
+  std::map<std::string, std::size_t> provider_site_counts;  // analyze:allow(no-string-keyed-tree): Table 9 prints providers sorted
 
   void add(const browser::Environment& env, const CertPlan& plan,
            const std::string& provider);

@@ -136,7 +136,7 @@ void Http2Server::close_endpoint(netsim::TcpEndpoint& endpoint,
                                  const std::string& reason) {
   ++stats_.close_reasons[reason];
   if (endpoint.open()) {
-    endpoint.close(reason);  // lint:allow(server-close-recorded): this is the audited close path; the reason was recorded just above
+    endpoint.close(reason);  // analyze:allow(server-close-recorded): this is the audited close path; the reason was recorded just above
   }
 }
 

@@ -238,7 +238,8 @@ class Http2Server {
   void flush(Session& session);
   // The single audited close path: records the reason in
   // Stats::close_reasons, then tears the transport down with it. Every
-  // server-initiated close MUST go through here (lint: server-close-recorded).
+  // server-initiated close MUST go through here (analyzer rule
+  // server-close-recorded).
   void close_endpoint(netsim::TcpEndpoint& endpoint, const std::string& reason);
   void close_session(Session& session, const std::string& reason);
   // Checks every per-session budget; sheds and returns true on violation.

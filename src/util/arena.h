@@ -119,7 +119,7 @@ class ArenaColumn {
     // analyze:allow(hot-transitive): the chunk directory grows by
     // one pointer per 256 KiB of column data — amortized to zero on warm
     // shards because clear() keeps the arena's chunk population.
-    // lint:allow(no-reinterpret-cast): typed view over a whole fresh arena
+    // analyze:allow(no-reinterpret-cast): typed view over a whole fresh arena
     // chunk; size and alignment are guaranteed by Arena::allocate_chunk.
     chunks_.push_back(reinterpret_cast<T*>(arena_->allocate_chunk()));
   }

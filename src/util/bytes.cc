@@ -120,8 +120,9 @@ Bytes from_string(std::string_view s) { return Bytes(s.begin(), s.end()); }
 
 std::string_view as_string_view(std::span<const std::uint8_t> bytes) {
   if (bytes.empty()) return {};
-  // char may alias any object type, so this view is well-defined.
-  return std::string_view(reinterpret_cast<const char*>(bytes.data()),  // lint:allow(no-reinterpret-cast)
+  // analyze:allow(no-reinterpret-cast): char may alias any object type, so
+  // this view is well-defined.
+  return std::string_view(reinterpret_cast<const char*>(bytes.data()),
                           bytes.size());
 }
 

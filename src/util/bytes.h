@@ -81,7 +81,7 @@ Bytes from_string(std::string_view s);
 
 // Views a byte span as text without copying. This is the single audited
 // uint8_t* → char* conversion in the repo; parser code must use it instead
-// of a raw reinterpret_cast (enforced by tools/lint).
+// of a raw reinterpret_cast (enforced by origin_analyze's lint pass).
 std::string_view as_string_view(std::span<const std::uint8_t> bytes);
 
 }  // namespace origin::util

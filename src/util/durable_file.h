@@ -1,7 +1,7 @@
 // Crash-consistent file IO for the storage layer (DESIGN.md §15).
 //
 // Every artifact the pipeline persists (OCS1 shard snapshots, the OCM1 run
-// manifest) goes through this module — enforced by the tools/lint
+// manifest) goes through this module — enforced by origin_analyze's
 // `durable-write-only` rule, which forbids raw std::ofstream/fopen writes
 // in src/dataset. The discipline:
 //

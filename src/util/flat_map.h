@@ -15,8 +15,9 @@
 //     order is implementation-defined. But the insertion sequence itself
 //     varies with thread count, so anything feeding report or
 //     serialization output must go through sorted_items()/sorted_keys()
-//     (or stay on std::map — see the no-string-keyed-tree lint rule's
-//     allowlist). The det-unordered-iter analyze pass enforces this.
+//     (or stay on std::map — see the waivers of the analyzer's
+//     no-string-keyed-tree rule). The det-unordered-iter analyze pass
+//     enforces this.
 #pragma once
 
 #include <algorithm>

@@ -43,6 +43,9 @@ SymbolId Interner::probe(const Table& table, std::string_view name,
     if ((word & kFingerprintMask) == fingerprint) {
       const SymbolId id =
           static_cast<SymbolId>((word & 0xFFFFFFFFULL) - 1);
+      // An id becomes visible when size_ covers it; intern() stores size_
+      // after the slot word, so skip a slot whose insert is in flight.
+      if (id >= size_.load(std::memory_order_acquire)) continue;
       // The fingerprint is only the hash's upper half; confirm against the
       // stored bytes (the view was published before the slot word, so the
       // acquire load above makes it visible).
@@ -93,7 +96,6 @@ SymbolId Interner::intern(std::string_view name) {
 
   storage_.push_back(std::string(name));
   publish_view(id, storage_.back());
-  size_.store(count + 1, std::memory_order_release);
 
   // Keep load factor <= 3/4 before placing the new slot.
   if ((count + 1) * 4 > (table->mask + 1) * 3) {
@@ -106,11 +108,14 @@ SymbolId Interner::intern(std::string_view name) {
   for (std::size_t i = hash & table->mask;; i = (i + 1) & table->mask) {
     if (table->slots[i].load(std::memory_order_relaxed) == 0) {
       // Release: a reader that sees this word also sees the view published
-      // above and the size_ update.
+      // above.
       table->slots[i].store(word, std::memory_order_release);
       break;
     }
   }
+  // Publish the id last: a reader that sees size() > id also sees its view
+  // and its slot word in the current table, so lookup(name(id)) finds it.
+  size_.store(count + 1, std::memory_order_release);
   return id;
 }
 

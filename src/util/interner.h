@@ -12,7 +12,9 @@
 //     with intern(): the probe table and the id->view directory are
 //     published with release stores and read with acquire loads, and
 //     superseded tables are retired (not freed) until destruction, so a
-//     reader holding a stale snapshot only ever sees a subset;
+//     reader holding a stale snapshot only ever sees a subset. size_ is
+//     stored last, so an id is visible to lookup() exactly when size()
+//     covers it;
 //   * IDs are assigned sequentially in intern() call order. Deterministic
 //     outputs at any thread count therefore require the PR 2 discipline:
 //     intern everything in a serial prepass (construction, batch-API entry)

@@ -7,8 +7,9 @@
 // Result and Status are [[nodiscard]]: a parse or decode entrypoint whose
 // return value is ignored silently swallows the error path, which is
 // exactly the failure mode the §6.7 middlebox incident punishes. The
-// tools/lint binary additionally enforces that every parser entrypoint
-// returns one of these types.
+// lint pass of origin_analyze (tools/analyze) additionally enforces that
+// every header declaration returning one of these types is [[nodiscard]],
+// and that both classes stay [[nodiscard]].
 #pragma once
 
 #include <string>

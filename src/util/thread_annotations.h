@@ -7,7 +7,7 @@
 // ORIGIN_REQUIRES(mu_) can only be called with mu_ held, and violations are
 // errors on clang builds (-Wthread-safety is promoted to an error by the
 // top-level CMakeLists). gcc compiles the same annotations to nothing, so
-// the tree stays portable; the origin_lint thread-discipline rules enforce
+// the tree stays portable; origin_analyze's thread-discipline rules enforce
 // the parts that do not need the analysis (no raw std::mutex outside
 // src/util/, no detach(), no volatile-as-synchronization) on every
 // compiler.
@@ -49,8 +49,8 @@
 namespace origin::util {
 
 // Annotated exclusive mutex. Thin wrapper over std::mutex: the wrapper is
-// what lets the analysis track acquisition, and what the lint rule
-// no-raw-std-mutex pushes every caller onto.
+// what lets the analysis track acquisition, and what the analyzer's
+// no-raw-std-mutex rule pushes every caller onto.
 class ORIGIN_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -62,7 +62,7 @@ class ORIGIN_CAPABILITY("mutex") Mutex {
   bool try_lock() ORIGIN_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  std::mutex mu_;  // lint:allow(no-raw-std-mutex)
+  std::mutex mu_;
 };
 
 // RAII lock; the ONLY way code outside util/ should hold a Mutex.

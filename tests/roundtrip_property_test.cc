@@ -1,10 +1,9 @@
 // Randomized round-trip properties across the codecs: HPACK header blocks,
-// HTTP/2 frames, HTTP/1 messages, and HAR JSON all survive
-// serialize→parse→serialize under generated inputs. Seeds are fixed per
+// HTTP/2 frames, and HAR JSON all survive serialize→parse→serialize under
+// generated inputs. Seeds are fixed per
 // test-suite instance, so failures reproduce exactly.
 #include <gtest/gtest.h>
 
-#include "h1/message.h"
 #include "h2/frame.h"
 #include "hpack/hpack.h"
 #include "util/json.h"
@@ -139,38 +138,6 @@ TEST_P(CodecPropertySweep, H2RandomFramesRoundTripUnderAnyChunking) {
     // field-by-field comparison.
     EXPECT_EQ(h2::serialize_frame(received[i]), h2::serialize_frame(sent[i]))
         << "frame " << i;
-  }
-}
-
-TEST_P(CodecPropertySweep, H1RandomMessagesRoundTrip) {
-  Rng rng(GetParam() ^ 0x41AB);
-  h1::ResponseParser parser;
-  std::string stream;
-  std::vector<h1::Response> sent;
-  for (int i = 0; i < 30; ++i) {
-    h1::Response response;
-    response.status = 200 + static_cast<int>(rng.uniform(200));
-    response.reason = "Why Not";
-    if (rng.bernoulli(0.3)) response.headers["transfer-encoding"] = "chunked";
-    response.headers["x-" + random_token(rng, 10)] = random_token(rng, 20);
-    response.body = random_value(rng, 5000);
-    stream += serialize(response);
-    sent.push_back(std::move(response));
-  }
-  std::vector<h1::Response> received;
-  std::size_t offset = 0;
-  while (offset < stream.size()) {
-    const std::size_t chunk = 1 + rng.uniform(211);
-    auto piece = std::string_view(stream).substr(offset, chunk);
-    auto messages = parser.feed(piece);
-    ASSERT_TRUE(messages.ok()) << messages.error().message;
-    for (auto& message : *messages) received.push_back(std::move(message));
-    offset += piece.size();
-  }
-  ASSERT_EQ(received.size(), sent.size());
-  for (std::size_t i = 0; i < sent.size(); ++i) {
-    EXPECT_EQ(received[i].status, sent[i].status);
-    EXPECT_EQ(received[i].body, sent[i].body);
   }
 }
 

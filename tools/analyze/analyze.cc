@@ -1,7 +1,7 @@
 // origin_analyze: multi-pass static analysis for the repro tree.
 //
 // Usage:
-//   origin_analyze [--pass=alloc|determinism|layering|hot-transitive|
+//   origin_analyze [--pass=alloc|determinism|layering|lint|hot-transitive|
 //                          lock-order|error-prop|all]
 //                  [--waivers=FILE] [--json=FILE] [--root=DIR]
 //                  [--baseline=FILE] [--min-reason-chars=N]
@@ -9,9 +9,9 @@
 //
 // PATHs are files or directories relative to --root (default: the current
 // directory). The intraprocedural passes (alloc, determinism, layering)
-// walk each file's token stream; the interprocedural passes
-// (hot-transitive, lock-order, error-prop) run over a call graph built
-// from the whole corpus (callgraph.h).
+// walk each file's token stream, the lint pass its raw lines; the
+// interprocedural passes (hot-transitive, lock-order, error-prop) run over
+// a call graph built from the whole corpus (callgraph.h).
 //
 // --min-reason-chars=N (default 30, 0 disables) is the waiver-hygiene
 // gate: every *applied* waiver whose reason is shorter than N characters
@@ -26,8 +26,10 @@
 // pre-waived and nobody reviews the reason.
 //
 // Exit status: 0 when every finding is waived and there is no baseline
-// drift, 1 otherwise, 2 on usage or I/O errors.
+// drift, 1 otherwise, 2 on usage or I/O errors (a malformed option value,
+// an unreadable --waivers or --baseline file, an unwritable --json file).
 #include <array>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <set>
@@ -50,7 +52,7 @@ using origin::analyze::FindingSink;
 
 int usage() {
   std::cerr
-      << "usage: origin_analyze [--pass=alloc|determinism|layering|"
+      << "usage: origin_analyze [--pass=alloc|determinism|layering|lint|"
          "hot-transitive|lock-order|error-prop|all]\n"
          "                      [--waivers=FILE] [--json=FILE] "
          "[--root=DIR]\n"
@@ -60,7 +62,8 @@ int usage() {
   return 2;
 }
 
-// The pass a rule belongs to, for the per-pass summary counts.
+// The pass a rule belongs to, for the per-pass summary counts. Lint rules
+// are the ones without a pass prefix.
 std::string_view pass_of_rule(std::string_view rule) {
   if (rule == "hot-transitive") return "hot-transitive";
   if (rule.rfind("hot-", 0) == 0) return "alloc";
@@ -69,7 +72,7 @@ std::string_view pass_of_rule(std::string_view rule) {
   if (rule.rfind("lock-", 0) == 0) return "lock-order";
   if (rule.rfind("error-", 0) == 0) return "error-prop";
   if (rule.rfind("waiver-", 0) == 0) return "waiver-hygiene";
-  return "other";
+  return "lint";
 }
 
 // The drift-gate key for a finding: rule|file|message, with the message in
@@ -159,7 +162,11 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--root=", 0) == 0) {
       root = arg.substr(7);
     } else if (arg.rfind("--min-reason-chars=", 0) == 0) {
-      min_reason_chars = std::stoul(arg.substr(19));
+      const std::string_view value = std::string_view(arg).substr(19);
+      const char* end = value.data() + value.size();
+      const auto parsed =
+          std::from_chars(value.data(), end, min_reason_chars);
+      if (parsed.ec != std::errc() || parsed.ptr != end) return usage();
     } else if (arg == "--dump-callgraph") {
       dump_callgraph = true;
     } else if (arg == "--dump-unresolved") {
@@ -174,8 +181,14 @@ int main(int argc, char** argv) {
   const bool interprocedural = pass == "all" || pass == "hot-transitive" ||
                                pass == "lock-order" || pass == "error-prop";
   if (!interprocedural && pass != "alloc" && pass != "determinism" &&
-      pass != "layering") {
+      pass != "layering" && pass != "lint") {
     return usage();
+  }
+
+  std::vector<FileWaiver> waivers;
+  if (!waiver_path.empty() &&
+      !origin::analyze::load_waiver_file(waiver_path, waivers)) {
+    return 2;
   }
 
   const std::deque<FileModel> corpus =
@@ -196,6 +209,9 @@ int main(int argc, char** argv) {
   if (pass == "all" || pass == "layering") {
     origin::analyze::run_layering_pass(corpus, sink);
   }
+  if (pass == "all" || pass == "lint") {
+    origin::analyze::run_lint_pass(corpus, sink);
+  }
   if (interprocedural || dump_callgraph || dump_unresolved) {
     const CallGraph graph = CallGraph::build(corpus);
     if (dump_callgraph) graph.dump(std::cout);
@@ -211,10 +227,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<FileWaiver> waivers;
-  if (!waiver_path.empty()) {
-    waivers = origin::analyze::load_waiver_file(waiver_path);
-  }
   auto lines_of = [&corpus](const std::string& file)
       -> const std::vector<std::string_view>& {
     static const std::vector<std::string_view> kNone;
@@ -285,9 +297,9 @@ int main(int argc, char** argv) {
     sink.write_json(json);
   }
 
-  static constexpr std::array<std::string_view, 7> kPassOrder = {
-      "alloc",      "determinism", "layering",       "hot-transitive",
-      "lock-order", "error-prop",  "waiver-hygiene",
+  static constexpr std::array<std::string_view, 8> kPassOrder = {
+      "alloc",          "determinism", "layering",   "lint",
+      "hot-transitive", "lock-order",  "error-prop", "waiver-hygiene",
   };
   std::string counts;
   for (const std::string_view p : kPassOrder) {

@@ -12,25 +12,24 @@ namespace origin::analyze {
 
 namespace {
 
-// Returns the waiver reason if `line` carries an allow-comment for `rule`
-// under either marker spelling, or nullopt-like empty-unset via bool.
+// Returns true, with the text after the marker in `reason`, if `line`
+// carries an `analyze:allow(<rule>)` comment for `rule`.
 bool match_allow(std::string_view line, std::string_view rule,
                  std::string& reason) {
-  for (const std::string_view marker : {"analyze:allow(", "lint:allow("}) {
-    std::size_t at = 0;
-    while ((at = line.find(marker, at)) != std::string_view::npos) {
-      const std::size_t open = at + marker.size();
-      const std::size_t close = line.find(')', open);
-      if (close == std::string_view::npos) break;
-      if (line.substr(open, close - open) == rule) {
-        std::string_view rest = line.substr(close + 1);
-        if (!rest.empty() && rest.front() == ':') rest.remove_prefix(1);
-        while (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
-        reason = std::string(rest);
-        return true;
-      }
-      at = close;
+  static constexpr std::string_view kMarker = "analyze:allow(";
+  std::size_t at = 0;
+  while ((at = line.find(kMarker, at)) != std::string_view::npos) {
+    const std::size_t open = at + kMarker.size();
+    const std::size_t close = line.find(')', open);
+    if (close == std::string_view::npos) break;
+    if (line.substr(open, close - open) == rule) {
+      std::string_view rest = line.substr(close + 1);
+      if (!rest.empty() && rest.front() == ':') rest.remove_prefix(1);
+      while (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
+      reason = std::string(rest);
+      return true;
     }
+    at = close;
   }
   return false;
 }
@@ -64,12 +63,12 @@ void json_escape(std::ostream& out, std::string_view text) {
   }
 }
 
-std::vector<FileWaiver> load_waiver_file(const std::string& path) {
-  std::vector<FileWaiver> waivers;
+bool load_waiver_file(const std::string& path,
+                      std::vector<FileWaiver>& waivers) {
   std::ifstream in(path);
   if (!in) {
-    std::cerr << "analyze: cannot open waiver file " << path << "\n";
-    return waivers;
+    std::cerr << "origin_analyze: cannot open waiver file " << path << "\n";
+    return false;
   }
   std::string line;
   while (std::getline(in, line)) {
@@ -89,7 +88,7 @@ std::vector<FileWaiver> load_waiver_file(const std::string& path) {
     }
     waivers.push_back(std::move(w));
   }
-  return waivers;
+  return true;
 }
 
 void FindingSink::add(Finding finding) {

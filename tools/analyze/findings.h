@@ -1,9 +1,8 @@
-// Findings: the shared output format for origin_analyze passes and the
-// origin_lint text rules.
+// Findings: the shared output format of the origin_analyze passes.
 //
 // A finding is (rule, file, line span, message). Waivers come in two forms:
-//   - inline:  `// analyze:allow(rule): reason` (or `lint:allow` for lint
-//     rules) on the offending line or the line directly above it;
+//   - inline:  `// analyze:allow(rule): reason` on the offending line or in
+//     the //-comment block directly above it;
 //   - file:    a waiver file with `rule path-fragment reason...` lines,
 //     matching any finding whose rule equals `rule` and whose path contains
 //     `path-fragment`.
@@ -35,9 +34,12 @@ struct FileWaiver {
   std::string reason;
 };
 
-// Parses a waiver file. Blank lines and `#` comments are skipped; malformed
-// lines (fewer than three fields) are reported on stderr and ignored.
-std::vector<FileWaiver> load_waiver_file(const std::string& path);
+// Parses a waiver file into `waivers`. Blank lines and `#` comments are
+// skipped; malformed lines (fewer than three fields) are reported on stderr
+// and ignored. Returns false, after reporting it, if the file cannot be
+// opened.
+bool load_waiver_file(const std::string& path,
+                      std::vector<FileWaiver>& waivers);
 
 // Writes `text` with JSON string escaping. Exposed so the driver's
 // findings-drift gate can compute keys in exactly the form write_json

@@ -6,7 +6,7 @@
 //
 //   layer 0: util
 //   layer 1: netsim, dns, tls
-//   layer 2: h1, h2, hpack, web, ct
+//   layer 2: h2, hpack, web, ct
 //   layer 3: server, cdn, browser
 //   layer 4: dataset, measure, model
 //
@@ -30,9 +30,9 @@ namespace origin::analyze {
 namespace {
 
 const std::map<std::string, int> kLayer = {
-    {"util", 0},   {"netsim", 1},  {"dns", 1},     {"tls", 1},
-    {"h1", 2},     {"h2", 2},      {"hpack", 2},   {"web", 2},
-    {"ct", 2},     {"server", 3},  {"cdn", 3},     {"browser", 3},
+    {"util", 0},    {"netsim", 1},  {"dns", 1},    {"tls", 1},
+    {"h2", 2},      {"hpack", 2},   {"web", 2},    {"ct", 2},
+    {"server", 3},  {"cdn", 3},     {"browser", 3},
     {"dataset", 4}, {"measure", 4}, {"model", 4},
 };
 

@@ -1,4 +1,5 @@
-// The origin_analyze invariant passes. Each pass walks the modeled corpus
+// The origin_analyze invariant passes — the repo's one static-analysis
+// binary, run by the default build. Each pass walks the modeled corpus
 // and reports violations into the shared FindingSink; waiver application
 // and output formatting happen afterwards in the driver.
 #pragma once
@@ -28,12 +29,20 @@ void run_determinism_pass(const std::deque<FileModel>& corpus,
                           FindingSink& sink);
 
 // Layering: the module DAG is
-//   util(0) → netsim,dns,tls(1) → h1,h2,hpack,web,ct(2) →
+//   util(0) → netsim,dns,tls(1) → h2,hpack,web,ct(2) →
 //   server,cdn,browser(3) → dataset,measure,model(4)
 // A module may include same-or-lower layers only (layer-upward), and the
 // include graph must stay acyclic even within a layer (layer-cycle).
 void run_layering_pass(const std::deque<FileModel>& corpus,
                        FindingSink& sink);
+
+// Lint: per-line source rules scoped by module — no bare assert, no
+// reinterpret_cast, [[nodiscard]] on Result/Status APIs, thread discipline
+// (util::Mutex/ThreadPool only, no detach, no volatile, GUARDED_BY after a
+// mutex member), and the module contracts for close reasons, server closes,
+// durable dataset writes, and interned hot-path keys. The rules carry no
+// pass prefix; pass_lint.cc documents each one.
+void run_lint_pass(const std::deque<FileModel>& corpus, FindingSink& sink);
 
 // Interprocedural passes over the call graph (callgraph.h).
 //
