@@ -55,10 +55,10 @@ RunResult run_once(const origin::bench::Args& args, std::size_t threads,
   collect_options.max_sites = max_pages;
   std::vector<web::PageLoad> loads;
   std::uint64_t digest = origin::util::fnv1a64("pipeline");
+  std::string har_scratch;
   dataset::collect(corpus, collect_options,
                    [&](const dataset::SiteInfo&, const web::PageLoad& load) {
-                     digest = origin::util::fnv1a64(web::to_har_string(load),
-                                                    digest);
+                     digest = web::har_digest(load, digest, &har_scratch);
                      loads.push_back(load);
                    });
   result.load_ms = ms_since(t0);

@@ -7,8 +7,12 @@
 //      its own dump() output, compact and pretty-printed.
 //   3. HAR reimport closure — any text that imports as a PageLoad exports
 //      via to_har_string and imports again.
+//   4. One formatter — an exported HAR is a Json::dump fixed point,
+//      compact and pretty-printed: the streamed export and the tree dump
+//      agree on key order, number format and string escapes.
 #include <cstdint>
 #include <span>
+#include <string>
 #include <string_view>
 
 #include "util/bytes.h"
@@ -37,6 +41,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     ORIGIN_CHECK(
         reimported.value().entries.size() == load.value().entries.size(),
         "har fuzz: reimport changed entry count");
+    for (int indent : {0, 2}) {
+      const std::string exported =
+          origin::web::to_har_string(load.value(), indent);
+      auto parsed = origin::util::Json::parse(exported);
+      ORIGIN_CHECK(parsed.ok() && parsed.value().dump(indent) == exported,
+                   "har fuzz: exported HAR is not a dump() fixed point");
+    }
   }
   return 0;
 }

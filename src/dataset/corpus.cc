@@ -10,7 +10,6 @@
 #include "dataset/snapshot.h"
 #include "model/coalescing_model.h"
 #include "util/crash.h"
-#include "util/fnv.h"
 #include "util/hash.h"
 #include "util/hot_path.h"
 #include "util/thread_pool.h"
@@ -19,10 +18,6 @@
 namespace origin::dataset {
 
 namespace {
-
-std::uint64_t digest_page(const web::PageLoad& load, std::uint64_t digest) {
-  return util::fnv1a64(web::to_har_string(load), digest);
-}
 
 // Recognizes `shard_NNNNNN.ocs` spill files and extracts the index, so the
 // spill-dir sweep can tell journaled shards from stale leftovers.
@@ -65,6 +60,7 @@ std::size_t sweep_shard_files(const std::string& dir) {
 // Shared per-page aggregation between the streamed and materialized paths.
 struct Aggregator {
   StreamStats stats;
+  std::string har_scratch;  // reused by every page's digest
 
   void measured(const web::PageLoad& load) {
     stats.pages += 1;
@@ -73,7 +69,8 @@ struct Aggregator {
     stats.measured_tls += load.tls_connection_count();
     stats.measured_validations += load.certificate_validation_count();
     stats.measured_plt_us += load.page_load_time().count_micros();
-    stats.measured_digest = digest_page(load, stats.measured_digest);
+    stats.measured_digest =
+        web::har_digest(load, stats.measured_digest, &har_scratch);
   }
 
   void analyzed(const model::PageAnalysis& analysis) {
@@ -87,7 +84,7 @@ struct Aggregator {
   void reconstructed(const web::PageLoad& load) {
     stats.reconstructed_plt_us += load.page_load_time().count_micros();
     stats.reconstructed_digest =
-        digest_page(load, stats.reconstructed_digest);
+        web::har_digest(load, stats.reconstructed_digest, &har_scratch);
   }
 };
 

@@ -1,20 +1,32 @@
 #include "dns/record.h"
 
-#include <cstdio>
+#include <charconv>
+#include <cstring>
 
 namespace origin::dns {
 
-std::string IpAddress::to_string() const {
-  char buf[64];
+std::string_view IpAddress::format(
+    std::span<char, kMaxTextSize> buffer) const {
+  char* const begin = buffer.data();
+  char* const end = begin + buffer.size();
+  char* p = begin;
   if (family == Family::kV4) {
-    auto v = static_cast<std::uint32_t>(value);
-    std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", v >> 24, (v >> 16) & 0xff,
-                  (v >> 8) & 0xff, v & 0xff);
+    const auto v = static_cast<std::uint32_t>(value);
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      if (shift != 24) *p++ = '.';
+      p = std::to_chars(p, end, (v >> shift) & 0xff).ptr;
+    }
   } else {
-    std::snprintf(buf, sizeof(buf), "2001:db8::%llx",
-                  static_cast<unsigned long long>(value));
+    constexpr std::string_view kPrefix = "2001:db8::";
+    std::memcpy(p, kPrefix.data(), kPrefix.size());
+    p = std::to_chars(p + kPrefix.size(), end, value, 16).ptr;
   }
-  return buf;
+  return {begin, static_cast<std::size_t>(p - begin)};
+}
+
+std::string IpAddress::to_string() const {
+  char buffer[kMaxTextSize];
+  return std::string(format(buffer));
 }
 
 const char* record_type_name(RecordType type) {

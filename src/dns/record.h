@@ -4,8 +4,11 @@
 // (paper §2.3).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/hash.h"
@@ -25,6 +28,11 @@ struct IpAddress {
     return IpAddress{Family::kV6, value};
   }
 
+  // Longest text form: "2001:db8::" and 16 hex digits.
+  static constexpr std::size_t kMaxTextSize = 26;
+  // Writes the text form into `buffer` and returns a view of it: to_string()
+  // without the allocation, for per-entry HAR export.
+  std::string_view format(std::span<char, kMaxTextSize> buffer) const;
   std::string to_string() const;
   bool operator==(const IpAddress&) const = default;
   auto operator<=>(const IpAddress&) const = default;

@@ -1,14 +1,19 @@
 // Minimal JSON value model, writer, and parser — enough for HAR files.
 //
 // Supports the JSON subset HAR 1.2 uses: objects, arrays, strings (with
-// escape handling), doubles/integers, booleans, null. No streaming; HAR
-// files in this repo are bounded by one page load.
+// escape handling), doubles/integers, booleans, null. Output goes through
+// one formatter, `JsonWriter`, which streams a document into a caller-owned
+// string: `Json::dump` walks its tree into a writer, and the HAR exporter
+// (web/har_json.h) drives one directly from a PageLoad without building a
+// tree. Both therefore emit the same bytes for the same values.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -19,6 +24,55 @@ namespace origin::util {
 // Saturating double → int64 conversion; the raw static_cast is UB when the
 // value is out of range (fuzzed documents carry 1e308 and NaN).
 std::int64_t clamp_to_int64(double d);
+
+// Appends one JSON document to `*out` as a sequence of calls: containers
+// with begin_/end_, object members as key() followed by exactly one value
+// call. The writer checks nothing about that grammar; the caller's call
+// order is the document. With `indent` > 0 every member and element starts
+// on its own line, `indent` spaces per level, and keys are followed by ": ";
+// with 0 the output is compact. Numbers are formatted as printf("%.15g")
+// would, strings escape '"', '\\' and control bytes (\n \r \t \b \f by
+// name, others as \u00XX). The writer never clears `*out`, so a caller that
+// reuses one buffer across documents keeps its capacity.
+class JsonWriter {
+ public:
+  JsonWriter(std::string* out, int indent) : out_(out), indent_(indent) {}
+
+  void begin_object() { open_container('{'); }
+  void end_object() { close_container('}'); }
+  void begin_array() { open_container('['); }
+  void end_array() { close_container(']'); }
+  // Starts an object member; the next value call writes its value.
+  JsonWriter& key(std::string_view name);
+
+  void null_value();
+  void bool_value(bool value);
+  void int_value(std::int64_t value);
+  // "%.15g"; JSON has no Inf/NaN, so a non-finite value writes null.
+  void double_value(double value);
+  // Integer microseconds as milliseconds: the same bytes as
+  // double_value(micros / 1000.0), without floating-point formatting for
+  // |micros| < 10^15 (where the quotient has at most 15 significant
+  // digits, so "%.15g" prints it exactly).
+  void millis_value(std::int64_t micros);
+  void string_value(std::string_view value);
+  // One string value whose text is the concatenation of `parts`.
+  void string_value(std::initializer_list<std::string_view> parts);
+
+ private:
+  void begin_value();
+  void separate();
+  void newline();
+  void open_container(char bracket);
+  void close_container(char bracket);
+  void escaped(std::string_view text);
+
+  std::string* out_;
+  int indent_;
+  int depth_ = 0;
+  bool empty_ = true;       // the open container has no member yet
+  bool after_key_ = false;  // the next value belongs to the last key()
+};
 
 class Json {
  public:
@@ -88,7 +142,7 @@ class Json {
     return is_object() && as_object().count(key) > 0;
   }
 
-  // Serializes compactly; `indent` > 0 pretty-prints.
+  // Serializes compactly; `indent` > 0 pretty-prints (see JsonWriter).
   std::string dump(int indent = 0) const;
 
   // Rejects documents nested deeper than this (stack-overflow guard; HAR
@@ -98,7 +152,7 @@ class Json {
   [[nodiscard]] static Result<Json> parse(std::string_view text);
 
  private:
-  void dump_to(std::string& out, int indent, int depth) const;
+  void write_into(JsonWriter& writer) const;
 
   std::variant<std::nullptr_t, bool, double, std::int64_t, std::string, Array,
                Object>

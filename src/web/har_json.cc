@@ -1,73 +1,18 @@
 #include "web/har_json.h"
 
+#include "util/fnv.h"
+
 namespace origin::web {
 
 using origin::util::Json;
+using origin::util::JsonWriter;
 using origin::util::make_error;
 using origin::util::Result;
 
 namespace {
 
-Json timings_json(const PhaseTimings& timings) {
-  Json::Object out;
-  out["blocked"] = timings.blocked.as_millis();
-  out["dns"] = timings.dns.as_millis();
-  out["connect"] = timings.connect.as_millis();
-  out["ssl"] = timings.ssl.as_millis();
-  out["send"] = timings.send.as_millis();
-  out["wait"] = timings.wait.as_millis();
-  out["receive"] = timings.receive.as_millis();
-  return Json(std::move(out));
-}
-
 origin::util::Duration millis_field(const Json& timings, const char* key) {
   return origin::util::Duration::millis(timings[key].double_or(0.0));
-}
-
-Json entry_json(const HarEntry& entry) {
-  Json::Object request;
-  request["method"] = "GET";
-  request["url"] = std::string(entry.secure ? "https://" : "http://") +
-                   entry.hostname + "/";
-  request["httpVersion"] = web::http_version_name(entry.version);
-
-  Json::Object response;
-  response["status"] = entry.status_421 ? 421 : 200;
-  Json::Object content;
-  content["mimeType"] = web::content_type_name(entry.content_type);
-  response["content"] = Json(std::move(content));
-
-  // Reproduction-specific fields travel in an extension block, as HAR
-  // custom fields conventionally do (leading underscore).
-  Json::Object extension;
-  extension["resourceIndex"] = entry.resource_index;
-  extension["asn"] = static_cast<std::int64_t>(entry.asn);
-  extension["serverAddress"] = entry.server_address.to_string();
-  extension["addressValue"] = static_cast<std::int64_t>(entry.server_address.value);
-  extension["addressV6"] = entry.server_address.family == dns::Family::kV6;
-  Json::Array answers;
-  for (const auto& address : entry.dns_answer_set) {
-    answers.push_back(Json(static_cast<std::int64_t>(address.value)));
-  }
-  extension["dnsAnswerSet"] = Json(std::move(answers));
-  extension["mode"] = web::request_mode_name(entry.mode);
-  extension["newDnsQuery"] = entry.new_dns_query;
-  extension["newTlsConnection"] = entry.new_tls_connection;
-  extension["speculativeDuplicate"] = entry.speculative_duplicate;
-  extension["connectionId"] = static_cast<std::int64_t>(entry.connection_id);
-  extension["certSerial"] = static_cast<std::int64_t>(entry.cert_serial);
-  extension["certIssuer"] = entry.cert_issuer;
-  extension["certSanCount"] = entry.cert_san_count;
-
-  Json::Object out;
-  out["startedDateTime"] = entry.start.as_millis();
-  out["time"] = entry.timings.total().as_millis();
-  out["request"] = Json(std::move(request));
-  out["response"] = Json(std::move(response));
-  out["timings"] = timings_json(entry.timings);
-  out["serverIPAddress"] = entry.server_address.to_string();
-  out["_origin"] = Json(std::move(extension));
-  return Json(std::move(out));
 }
 
 HttpVersion version_from_name(const std::string& name) {
@@ -101,40 +46,123 @@ RequestMode mode_from_name(const std::string& name) {
   return RequestMode::kSubresource;
 }
 
+// Members are written in alphabetical key order at every level (the order
+// a parsed Json::Object dumps in), which is what keeps the digest of the
+// exported text unchanged from the tree-building exporter it replaced.
+void write_timings(const PhaseTimings& timings, JsonWriter& w) {
+  w.begin_object();
+  w.key("blocked").millis_value(timings.blocked.count_micros());
+  w.key("connect").millis_value(timings.connect.count_micros());
+  w.key("dns").millis_value(timings.dns.count_micros());
+  w.key("receive").millis_value(timings.receive.count_micros());
+  w.key("send").millis_value(timings.send.count_micros());
+  w.key("ssl").millis_value(timings.ssl.count_micros());
+  w.key("wait").millis_value(timings.wait.count_micros());
+  w.end_object();
+}
+
+void write_entry(const HarEntry& entry, JsonWriter& w) {
+  char address_buffer[dns::IpAddress::kMaxTextSize];
+  const std::string_view address =
+      entry.server_address.format(address_buffer);
+
+  w.begin_object();
+  // Reproduction-specific fields travel in an extension block, as HAR
+  // custom fields conventionally do (leading underscore).
+  w.key("_origin").begin_object();
+  w.key("addressV6").bool_value(entry.server_address.family ==
+                                dns::Family::kV6);
+  w.key("addressValue")
+      .int_value(static_cast<std::int64_t>(entry.server_address.value));
+  w.key("asn").int_value(entry.asn);
+  w.key("certIssuer").string_value(entry.cert_issuer);
+  w.key("certSanCount").int_value(entry.cert_san_count);
+  w.key("certSerial").int_value(static_cast<std::int64_t>(entry.cert_serial));
+  w.key("connectionId")
+      .int_value(static_cast<std::int64_t>(entry.connection_id));
+  w.key("dnsAnswerSet").begin_array();
+  for (const auto& answer : entry.dns_answer_set) {
+    w.int_value(static_cast<std::int64_t>(answer.value));
+  }
+  w.end_array();
+  w.key("mode").string_value(request_mode_name(entry.mode));
+  w.key("newDnsQuery").bool_value(entry.new_dns_query);
+  w.key("newTlsConnection").bool_value(entry.new_tls_connection);
+  w.key("resourceIndex").int_value(entry.resource_index);
+  w.key("serverAddress").string_value(address);
+  w.key("speculativeDuplicate").bool_value(entry.speculative_duplicate);
+  w.end_object();
+
+  w.key("request").begin_object();
+  w.key("httpVersion").string_value(http_version_name(entry.version));
+  w.key("method").string_value("GET");
+  w.key("url").string_value(
+      {entry.secure ? "https://" : "http://", entry.hostname, "/"});
+  w.end_object();
+
+  w.key("response").begin_object();
+  w.key("content").begin_object();
+  w.key("mimeType").string_value(content_type_name(entry.content_type));
+  w.end_object();
+  w.key("status").int_value(entry.status_421 ? 421 : 200);
+  w.end_object();
+
+  w.key("serverIPAddress").string_value(address);
+  w.key("startedDateTime").millis_value(entry.start.micros());
+  w.key("time").millis_value(entry.timings.total().count_micros());
+  w.key("timings");
+  write_timings(entry.timings, w);
+  w.end_object();
+}
+
 }  // namespace
 
-Json to_har_json(const PageLoad& load) {
-  Json::Object creator;
-  creator["name"] = "respect-the-origin-repro";
-  creator["version"] = "1.0";
+void write_har(const PageLoad& load, int indent, std::string* out) {
+  JsonWriter w(out, indent);
+  w.begin_object();
+  w.key("log").begin_object();
 
-  Json::Object page;
-  page["id"] = load.base_hostname;
-  page["title"] = std::string("https://") + load.base_hostname + "/";
-  Json::Object page_timings;
-  page_timings["onLoad"] = load.page_load_time().as_millis();
-  page["pageTimings"] = Json(std::move(page_timings));
-  page["_trancoRank"] = static_cast<std::int64_t>(load.tranco_rank);
-  page["_success"] = load.success;
-  page["_extraDnsQueries"] = load.extra_dns_queries;
-  page["_extraTlsConnections"] = load.extra_tls_connections;
+  w.key("creator").begin_object();
+  w.key("name").string_value("respect-the-origin-repro");
+  w.key("version").string_value("1.0");
+  w.end_object();
 
-  Json::Array entries;
-  for (const auto& entry : load.entries) entries.push_back(entry_json(entry));
+  w.key("entries").begin_array();
+  for (const HarEntry& entry : load.entries) write_entry(entry, w);
+  w.end_array();
 
-  Json::Object log;
-  log["version"] = "1.2";
-  log["creator"] = Json(std::move(creator));
-  log["pages"] = Json(Json::Array{Json(std::move(page))});
-  log["entries"] = Json(std::move(entries));
+  w.key("pages").begin_array();
+  w.begin_object();
+  w.key("_extraDnsQueries")
+      .int_value(static_cast<std::int64_t>(load.extra_dns_queries));
+  w.key("_extraTlsConnections")
+      .int_value(static_cast<std::int64_t>(load.extra_tls_connections));
+  w.key("_success").bool_value(load.success);
+  w.key("_trancoRank").int_value(static_cast<std::int64_t>(load.tranco_rank));
+  w.key("id").string_value(load.base_hostname);
+  w.key("pageTimings").begin_object();
+  w.key("onLoad").millis_value(load.page_load_time().count_micros());
+  w.end_object();
+  w.key("title").string_value({"https://", load.base_hostname, "/"});
+  w.end_object();
+  w.end_array();
 
-  Json::Object root;
-  root["log"] = Json(std::move(log));
-  return Json(std::move(root));
+  w.key("version").string_value("1.2");
+  w.end_object();
+  w.end_object();
 }
 
 std::string to_har_string(const PageLoad& load, int indent) {
-  return to_har_json(load).dump(indent);
+  std::string out;
+  write_har(load, indent, &out);
+  return out;
+}
+
+std::uint64_t har_digest(const PageLoad& load, std::uint64_t seed,
+                         std::string* scratch) {
+  scratch->clear();
+  write_har(load, 2, scratch);
+  return origin::util::fnv1a64(*scratch, seed);
 }
 
 // Every field access below must be total: a HAR document is external input

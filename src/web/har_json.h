@@ -9,7 +9,9 @@
 // can be exported for external tooling and reimported losslessly.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "util/json.h"
 #include "util/result.h"
@@ -17,11 +19,20 @@
 
 namespace origin::web {
 
-// Builds the HAR JSON document for one page load.
-origin::util::Json to_har_json(const PageLoad& load);
+// Appends the HAR JSON document for one page load to `*out`, streamed
+// through util::JsonWriter without building a Json tree. Keys come in
+// alphabetical order at every level, so the text is exactly what
+// Json::parse(text)->dump(indent) reproduces.
+void write_har(const PageLoad& load, int indent, std::string* out);
 std::string to_har_string(const PageLoad& load, int indent = 2);
 
-// Parses a HAR document produced by to_har_json back into a PageLoad.
+// The corpus fingerprint of one page: FNV-1a-64 over to_har_string(load)
+// (indent 2), chained from `seed`. `scratch` holds the text between calls,
+// so a caller that keeps it warm pays no allocation per page.
+std::uint64_t har_digest(const PageLoad& load, std::uint64_t seed,
+                         std::string* scratch);
+
+// Parses a HAR document produced by write_har back into a PageLoad.
 [[nodiscard]] origin::util::Result<PageLoad> from_har_json(const origin::util::Json& har);
 [[nodiscard]] origin::util::Result<PageLoad> from_har_string(std::string_view text);
 

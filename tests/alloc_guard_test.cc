@@ -12,6 +12,7 @@
 #include "browser/page_loader.h"
 #include "model/coalescing_model.h"
 #include "util/alloc_guard.h"
+#include "web/har_json.h"
 
 namespace origin::util {
 namespace {
@@ -162,6 +163,24 @@ TEST(AllocGuardTest, WarmReplayBatchHasZeroMarginalAllocationsPerPage) {
   // The consume overload's fixed overhead: the ThreadPool's batch closure.
   // Anything above a handful means a scratch arena regressed to cold.
   EXPECT_LE(small, 4u);
+}
+
+// The corpus digest streams each page's HAR text into a buffer the caller
+// keeps; once that buffer has grown to the largest page, a digest touches
+// the heap not at all.
+TEST(AllocGuardTest, WarmHarDigestAllocatesNothing) {
+  ReplayWorld world;
+  const web::PageLoad page = world.load();
+  ASSERT_FALSE(page.entries.empty());
+  std::string scratch;
+  const std::uint64_t warm = web::har_digest(page, 0, &scratch);
+
+  AllocGuard guard;
+  std::uint64_t digest = 0;
+  for (int i = 0; i < 16; ++i) digest = web::har_digest(page, digest, &scratch);
+  escape(&digest);
+  EXPECT_EQ(guard.allocations(), 0u);
+  EXPECT_EQ(web::har_digest(page, 0, &scratch), warm);
 }
 
 }  // namespace

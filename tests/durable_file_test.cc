@@ -5,7 +5,9 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "util/crash.h"
 #include "util/durable_file.h"
@@ -45,6 +47,43 @@ TEST_F(DurableFileTest, Crc64ReferenceVectors) {
   EXPECT_EQ(chained, one_shot);
   // Sensitivity: one flipped bit changes the digest.
   EXPECT_NE(util::crc64("123456788"), one_shot);
+}
+
+// The span overload folds eight bytes per step; it must equal the
+// one-byte-at-a-time definition for every block/tail split and alignment,
+// and chain like it.
+TEST_F(DurableFileTest, Crc64SlicedMatchesByteLoop) {
+  std::vector<std::uint8_t> buffer(64 + 8);
+  std::uint64_t state = 0x9E3779B97F4A7C15ULL;
+  for (std::uint8_t& byte : buffer) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    byte = static_cast<std::uint8_t>(state >> 56);
+  }
+  auto byte_loop = [](std::span<const std::uint8_t> data, std::uint64_t seed) {
+    std::uint64_t crc = ~seed;
+    for (const std::uint8_t byte : data) crc = util::crc64_update(crc, byte);
+    return ~crc;
+  };
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::span<const std::uint8_t> data(buffer.data() + offset, length);
+      EXPECT_EQ(util::crc64(data), byte_loop(data, 0))
+          << "offset " << offset << " length " << length;
+      EXPECT_EQ(util::crc64(data, 0x0123456789ABCDEFULL),
+                byte_loop(data, 0x0123456789ABCDEFULL))
+          << "offset " << offset << " length " << length;
+      for (std::size_t split = 0; split <= length; ++split) {
+        EXPECT_EQ(util::crc64(data.subspan(split),
+                              util::crc64(data.first(split))),
+                  util::crc64(data))
+            << "offset " << offset << " length " << length << " split "
+            << split;
+      }
+    }
+  }
+  const std::string_view digits = "123456789";
+  const std::vector<std::uint8_t> check(digits.begin(), digits.end());
+  EXPECT_EQ(util::crc64(check), 0x995DC9BBDF1939FAULL);
 }
 
 TEST_F(DurableFileTest, WriteReadRoundTrip) {

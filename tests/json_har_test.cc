@@ -1,7 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <random>
+
 #include "dataset/collector.h"
+#include "dataset/corpus.h"
 #include "dataset/generator.h"
+#include "model/coalescing_model.h"
+#include "util/fnv.h"
 #include "util/json.h"
 #include "web/har_json.h"
 
@@ -104,7 +114,9 @@ web::PageLoad sample_load() {
 TEST(HarJson, ExportHasHarShape) {
   auto load = sample_load();
   ASSERT_FALSE(load.entries.empty());
-  Json har = web::to_har_json(load);
+  auto parsed = Json::parse(web::to_har_string(load));
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+  const Json& har = parsed.value();
   EXPECT_EQ(har["log"]["version"].as_string(), "1.2");
   EXPECT_EQ(har["log"]["creator"]["name"].as_string(),
             "respect-the-origin-repro");
@@ -162,6 +174,327 @@ TEST(HarJson, RejectsNonHarDocuments) {
   EXPECT_FALSE(web::from_har_string("{}").ok());
   EXPECT_FALSE(web::from_har_string(R"({"log":{"pages":[]}})").ok());
   EXPECT_FALSE(web::from_har_string("not json at all").ok());
+}
+
+// --- JsonWriter number formatting ---
+
+// The reference the writer must match byte for byte: the "%.15g" the
+// tree-building formatter used for every HAR millisecond field.
+std::string printf_millis(std::int64_t micros) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.15g",
+                static_cast<double>(micros) / 1000.0);
+  return buf;
+}
+
+// Runs every value `generate` passes to its callback through millis_value
+// and printf_millis; returns how many differ, reporting the first few.
+template <typename Generator>
+std::size_t millis_mismatches(const Generator& generate) {
+  std::string out;
+  std::size_t mismatches = 0;
+  generate([&](std::int64_t micros) {
+    out.clear();
+    util::JsonWriter writer(&out, 0);
+    writer.millis_value(micros);
+    const std::string expected = printf_millis(micros);
+    if (out != expected && ++mismatches <= 5) {
+      ADD_FAILURE() << micros << " us: writer \"" << out << "\", printf \""
+                    << expected << "\"";
+    }
+  });
+  return mismatches;
+}
+
+TEST(JsonWriter, MillisMatchesPrintfExhaustivelyNearZero) {
+  EXPECT_EQ(millis_mismatches([](auto check) {
+              for (std::int64_t us = -2'000'000; us < 20'000'000; ++us) {
+                check(us);
+              }
+            }),
+            0u);
+}
+
+TEST(JsonWriter, MillisMatchesPrintfAtRandomAndBoundaryValues) {
+  constexpr std::int64_t kExact = 1'000'000'000'000'000;  // 10^15
+  EXPECT_EQ(millis_mismatches([](auto check) {
+              std::mt19937_64 rng(42);
+              std::uniform_int_distribution<std::int64_t> dist(-kExact + 1,
+                                                               kExact - 1);
+              for (int i = 0; i < 1'000'000; ++i) check(dist(rng));
+              for (std::int64_t us :
+                   {kExact - 1, -(kExact - 1), kExact, -kExact, kExact + 1,
+                    -(kExact + 1), std::numeric_limits<std::int64_t>::max(),
+                    std::numeric_limits<std::int64_t>::min()}) {
+                check(us);
+              }
+            }),
+            0u);
+}
+
+// double_value formats with std::to_chars; it must equal the "%.15g" the
+// tree formatter printed for every double, not only millisecond values.
+TEST(JsonWriter, DoubleMatchesPrintf) {
+  std::mt19937_64 rng(7);
+  std::string out;
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 200'000; ++i) {
+    double value = 0;
+    const std::uint64_t bits = rng();
+    std::memcpy(&value, &bits, sizeof(value));
+    if (!std::isfinite(value)) continue;
+    out.clear();
+    util::JsonWriter writer(&out, 0);
+    writer.double_value(value);
+    char expected[40];
+    std::snprintf(expected, sizeof(expected), "%.15g", value);
+    if (out != expected && ++mismatches <= 5) {
+      ADD_FAILURE() << "writer \"" << out << "\", printf \"" << expected
+                    << "\"";
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(Json(std::numeric_limits<double>::infinity()).dump(), "null");
+}
+
+// --- HAR export: writer == tree formatter, and the corpus digest ---
+
+// The golden corpus: perfbench's corpus-stream configuration.
+dataset::CorpusOptions golden_corpus_options() {
+  dataset::CorpusOptions options;
+  options.site_count = 1'000;
+  options.seed = 42;
+  options.threads = 4;
+  return options;
+}
+
+dataset::StreamingOptions golden_streaming_options() {
+  dataset::StreamingOptions options;
+  options.loader.policy = "chromium-ip";
+  options.loader.resolver.recursive_base = util::Duration::millis(55);
+  options.threads = 4;
+  return options;
+}
+
+// Every measured page of the golden corpus followed by its reconstruction.
+std::vector<web::PageLoad> golden_pages() {
+  dataset::Corpus corpus(golden_corpus_options());
+  dataset::CollectOptions collect_options;
+  collect_options.loader = golden_streaming_options().loader;
+  collect_options.threads = 4;
+  std::vector<web::PageLoad> pages;
+  dataset::collect(corpus, collect_options,
+                   [&](const dataset::SiteInfo&, const web::PageLoad& load) {
+                     pages.push_back(load);
+                   });
+  model::CoalescingModel model(corpus.env());
+  const auto analyses = model.analyze_batch(pages, 4);
+  auto reconstructed = model.reconstruct_batch(pages, analyses, "", 4);
+  pages.insert(pages.end(), reconstructed.begin(), reconstructed.end());
+  return pages;
+}
+
+// Parsing builds std::map objects and dump() re-emits them in key order,
+// so a fixed point proves the streamed members are in the order, and the
+// values in the format, the tree formatter used.
+void expect_dump_fixed_point(const web::PageLoad& load) {
+  for (int indent : {0, 2}) {
+    const std::string text = web::to_har_string(load, indent);
+    auto parsed = Json::parse(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+    EXPECT_EQ(parsed->dump(indent), text)
+        << load.base_hostname << " at indent " << indent;
+  }
+}
+
+TEST(JsonWriter, HarIsDumpFixedPointOnGoldenCorpus) {
+  const auto pages = golden_pages();
+  ASSERT_GT(pages.size(), 1'000u);
+  for (const web::PageLoad& page : pages) expect_dump_fixed_point(page);
+}
+
+web::HarEntry edge_entry() {
+  web::HarEntry entry;
+  entry.resource_index = 3;
+  entry.hostname = "q\"uo\\te\x01\x1f\t\n\r\b\f\x7f.example";
+  entry.server_address = dns::IpAddress::v4(0xC0A80101);
+  entry.dns_answer_set = {dns::IpAddress::v4(0xC0A80101),
+                          dns::IpAddress::v4(0xC0A80102)};
+  entry.asn = std::numeric_limits<std::uint32_t>::max();
+  entry.version = web::HttpVersion::kH11;
+  entry.secure = false;
+  entry.mode = web::RequestMode::kCorsAnonymous;
+  entry.content_type = web::ContentType::kFontWoff2;
+  entry.start = util::SimTime::from_micros(1'234'567);
+  entry.timings.blocked = util::Duration::micros(-1);
+  entry.timings.dns = util::Duration::micros(-999);
+  entry.timings.connect = util::Duration::micros(1'000);
+  entry.timings.ssl = util::Duration::micros(20);
+  entry.timings.send = util::Duration::micros(300);
+  entry.timings.wait = util::Duration::micros(4'005);
+  entry.timings.receive = util::Duration::micros(999'999'999'999'999);
+  entry.new_dns_query = true;
+  entry.speculative_duplicate = true;
+  entry.connection_id = 0xFFFFFFFFFFFFFFFFULL;
+  entry.cert_serial = 0x8000000000000001ULL;
+  entry.cert_issuer = "Issuer \"CA\" \\ \x02\x1b";
+  entry.cert_san_count = 0;
+  entry.status_421 = true;
+  return entry;
+}
+
+std::vector<web::PageLoad> edge_pages() {
+  std::vector<web::PageLoad> pages;
+  pages.emplace_back();  // empty page: no entries, empty hostname
+
+  web::PageLoad page;
+  page.tranco_rank = 0x8000000000000000ULL;
+  page.base_hostname = "base\"\\\x03.example";
+  page.success = false;
+  page.extra_dns_queries = 2;
+  page.extra_tls_connections = 5;
+  page.entries.push_back(edge_entry());
+
+  web::HarEntry v6 = edge_entry();
+  v6.server_address = dns::IpAddress::v6(0xFEDCBA9876543210ULL);
+  v6.dns_answer_set.clear();
+  page.entries.push_back(v6);
+
+  // Timings at and past the exact-formatting bound, both signs.
+  web::HarEntry huge = edge_entry();
+  huge.start = util::SimTime::from_micros(-1'000'000'000'000'007);
+  huge.timings.blocked = util::Duration::micros(1'000'000'000'000'000);
+  huge.timings.dns = util::Duration::micros(-1'000'000'000'000'000);
+  huge.timings.connect = util::Duration::micros(999'999'999'999'999);
+  huge.timings.ssl = util::Duration::micros(-999'999'999'999'999);
+  huge.timings.send =
+      util::Duration::micros(std::numeric_limits<std::int64_t>::max() / 2);
+  huge.timings.wait =
+      util::Duration::micros(std::numeric_limits<std::int64_t>::min() / 2);
+  page.entries.push_back(huge);
+  pages.push_back(page);
+  return pages;
+}
+
+TEST(JsonWriter, HarIsDumpFixedPointOnEdgePages) {
+  for (const web::PageLoad& page : edge_pages()) expect_dump_fixed_point(page);
+  // The edge values really reach the text in their signed int64 form.
+  const std::string text = web::to_har_string(edge_pages()[1], 0);
+  EXPECT_NE(text.find("\"certSerial\":-9223372036854775807"),
+            std::string::npos);
+  EXPECT_NE(text.find("\"serverAddress\":\"2001:db8::fedcba9876543210\""),
+            std::string::npos);
+  EXPECT_NE(text.find("\"blocked\":1000000000000,"), std::string::npos);
+  EXPECT_NE(text.find("\"send\":4.61168601842739e+15,"), std::string::npos);
+  EXPECT_NE(text.find("\\u0001"), std::string::npos);
+}
+
+// The corpus-stream reference digests at seed 42; the same values perfbench
+// prints on its "reference:" line. They pin the exported text byte for byte.
+TEST(HarDigest, GoldenCorpusDigestsArePinned) {
+  dataset::Corpus corpus(golden_corpus_options());
+  auto stats = dataset::run_materialized(corpus, golden_streaming_options());
+  ASSERT_TRUE(stats.ok()) << stats.error().message;
+  EXPECT_EQ(stats->pages, 642u);
+  EXPECT_EQ(stats->measured_digest, 0xf640fae39a020704ULL);
+  EXPECT_EQ(stats->reconstructed_digest, 0xa56c015e4ba3192cULL);
+}
+
+TEST(HarDigest, IsFnvChainedOverTheIndentedText) {
+  std::string scratch = "stale text from an earlier page";
+  for (const web::PageLoad& page : edge_pages()) {
+    EXPECT_EQ(web::har_digest(page, 17, &scratch),
+              util::fnv1a64(web::to_har_string(page), 17));
+    EXPECT_EQ(scratch, web::to_har_string(page));
+  }
+}
+
+// Every field the HAR export carries must reach the digest. The one field
+// exempt is the address family of dns_answer_set members: the export
+// writes answers as bare values (from_har_json reads them back as v4), and
+// generated corpora never put a v6 address in an answer set.
+TEST(HarDigest, EveryExportedFieldChangesTheDigest) {
+  web::PageLoad base = edge_pages()[1];
+  std::string scratch;
+  const std::uint64_t reference = web::har_digest(base, 0, &scratch);
+  using Mutation = std::function<void(web::PageLoad&)>;
+  auto entry = [](std::function<void(web::HarEntry&)> edit) -> Mutation {
+    return [edit](web::PageLoad& page) { edit(page.entries.front()); };
+  };
+  const std::vector<std::pair<const char*, Mutation>> mutations = {
+      {"tranco_rank", [](web::PageLoad& p) { p.tranco_rank += 1; }},
+      {"base_hostname", [](web::PageLoad& p) { p.base_hostname += "x"; }},
+      {"success", [](web::PageLoad& p) { p.success = !p.success; }},
+      {"extra_dns_queries", [](web::PageLoad& p) { p.extra_dns_queries += 1; }},
+      {"extra_tls_connections",
+       [](web::PageLoad& p) { p.extra_tls_connections += 1; }},
+      {"entries.size", [](web::PageLoad& p) { p.entries.pop_back(); }},
+      {"resource_index",
+       entry([](web::HarEntry& e) { e.resource_index += 1; })},
+      {"hostname", entry([](web::HarEntry& e) { e.hostname += "x"; })},
+      {"server_address.value",
+       entry([](web::HarEntry& e) { e.server_address.value += 1; })},
+      {"server_address.family", entry([](web::HarEntry& e) {
+         e.server_address.family = dns::Family::kV6;
+       })},
+      {"dns_answer_set.value",
+       entry([](web::HarEntry& e) { e.dns_answer_set[0].value += 1; })},
+      {"dns_answer_set.size",
+       entry([](web::HarEntry& e) { e.dns_answer_set.pop_back(); })},
+      {"asn", entry([](web::HarEntry& e) { e.asn -= 1; })},
+      {"version",
+       entry([](web::HarEntry& e) { e.version = web::HttpVersion::kH2; })},
+      {"secure", entry([](web::HarEntry& e) { e.secure = !e.secure; })},
+      {"mode",
+       entry([](web::HarEntry& e) { e.mode = web::RequestMode::kFetchApi; })},
+      {"content_type", entry([](web::HarEntry& e) {
+         e.content_type = web::ContentType::kCss;
+       })},
+      {"start", entry([](web::HarEntry& e) {
+         e.start = e.start + util::Duration::micros(1);
+       })},
+      {"timings.blocked", entry([](web::HarEntry& e) {
+         e.timings.blocked += util::Duration::micros(1);
+       })},
+      {"timings.dns", entry([](web::HarEntry& e) {
+         e.timings.dns += util::Duration::micros(1);
+       })},
+      {"timings.connect", entry([](web::HarEntry& e) {
+         e.timings.connect += util::Duration::micros(1);
+       })},
+      {"timings.ssl", entry([](web::HarEntry& e) {
+         e.timings.ssl += util::Duration::micros(1);
+       })},
+      {"timings.send", entry([](web::HarEntry& e) {
+         e.timings.send += util::Duration::micros(1);
+       })},
+      {"timings.wait", entry([](web::HarEntry& e) {
+         e.timings.wait += util::Duration::micros(1);
+       })},
+      {"timings.receive", entry([](web::HarEntry& e) {
+         e.timings.receive += util::Duration::micros(1);
+       })},
+      {"new_dns_query",
+       entry([](web::HarEntry& e) { e.new_dns_query = !e.new_dns_query; })},
+      {"new_tls_connection", entry([](web::HarEntry& e) {
+         e.new_tls_connection = !e.new_tls_connection;
+       })},
+      {"speculative_duplicate", entry([](web::HarEntry& e) {
+         e.speculative_duplicate = !e.speculative_duplicate;
+       })},
+      {"connection_id", entry([](web::HarEntry& e) { e.connection_id -= 1; })},
+      {"cert_serial", entry([](web::HarEntry& e) { e.cert_serial += 1; })},
+      {"cert_issuer", entry([](web::HarEntry& e) { e.cert_issuer += "x"; })},
+      {"cert_san_count",
+       entry([](web::HarEntry& e) { e.cert_san_count += 1; })},
+      {"status_421",
+       entry([](web::HarEntry& e) { e.status_421 = !e.status_421; })},
+  };
+  for (const auto& [name, mutate] : mutations) {
+    web::PageLoad changed = base;
+    mutate(changed);
+    EXPECT_NE(web::har_digest(changed, 0, &scratch), reference) << name;
+  }
 }
 
 }  // namespace
