@@ -18,19 +18,14 @@
 //      (never read it as data), rebuild it deterministically, and still
 //      match the baseline digests.
 //
-// Emits BENCH_crash.json in the working directory and, when built with
-// ORIGIN_REPO_ROOT, gates against the repo-root committed baseline:
-//   * any digest mismatch, unexpected child exit, journaled-shard
-//     regeneration, or missed quarantine is fatal;
-//   * the worst-case recovery overhead (kill wall + resume wall vs the
-//     uninterrupted baseline) must not regress more than 10 points over
-//     the committed max_recovery_overhead_pct;
-//   * the committed baseline refreshes only when this run covered at least
-//     as many sites as the committed one.
+// Emits BENCH_crash.json through bench/report.h, which gates the worst-case
+// recovery overhead (kill wall + resume wall vs the uninterrupted baseline)
+// against the committed copy (see the gate table there). Any digest
+// mismatch, unexpected child exit, journaled-shard regeneration, or missed
+// quarantine is fatal.
 //
-// Knobs: ORIGIN_CRASH_SITES (default 20,000; the committed baseline is a
-// 100k-site run — needs >= 3 shards, so keep sites comfortably above
-// 3 * 4,096 eligible), ORIGIN_CRASH_DIR (spill dir, default
+// Flags: --sites (default 20,000; needs >= 3 shards, so keep sites
+// comfortably above 3 * 4,096 eligible) and --dir (spill dir, default
 // bench_crash_spill).
 #include <sys/wait.h>
 
@@ -40,13 +35,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "dataset/corpus.h"
 #include "measure/stream.h"
+#include "report.h"
 #include "util/crash.h"
 #include "util/json.h"
 
@@ -68,38 +63,6 @@ constexpr CrashPoint kMatrix[] = {
     {"durable.post_rename", 4}, {"manifest.append", 3},
     {"analyze.shard", 2},
 };
-
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
-}
-
-std::string env_string(const char* name, const char* fallback) {
-  const char* value = std::getenv(name);
-  return (value == nullptr || *value == '\0') ? fallback : value;
-}
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-bool write_file(const std::string& path, const std::string& contents) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << contents;
-  return static_cast<bool>(out);
-}
-
-origin::util::Result<Json> read_json(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return origin::util::make_error("cannot open " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return Json::parse(buffer.str());
-}
 
 // --- child ----------------------------------------------------------------
 
@@ -159,11 +122,7 @@ int run_child(std::size_t sites, std::uint64_t seed, std::size_t threads,
       static_cast<std::uint64_t>(recovery.stale_temps_swept);
   doc["stale_shards_removed"] =
       static_cast<std::uint64_t>(recovery.stale_shards_removed);
-  if (!write_file(out, Json(std::move(doc)).dump(2) + "\n")) {
-    std::fprintf(stderr, "child cannot write %s\n", out.c_str());
-    return 1;
-  }
-  return 0;
+  return bench::write_text(out, Json(std::move(doc)).dump(2) + "\n") ? 0 : 1;
 }
 
 // --- supervisor -----------------------------------------------------------
@@ -216,19 +175,6 @@ bool flip_shard_byte(const std::string& path) {
   return static_cast<bool>(file);
 }
 
-bool committed_baseline(const std::string& path, double* sites,
-                        double* max_overhead) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  auto parsed = Json::parse(buffer.str());
-  if (!parsed.ok()) return false;
-  *sites = (*parsed)["sites"].double_or(0.0);
-  *max_overhead = (*parsed)["max_recovery_overhead_pct"].double_or(-1.0);
-  return *max_overhead >= 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -236,23 +182,19 @@ int main(int argc, char** argv) {
 
   bool child = false;
   std::size_t threads = 8;
-  std::string dir;
   std::string out;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--child") == 0) child = true;
     else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
       threads = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    else if (std::strcmp(argv[i], "--dir") == 0 && i + 1 < argc)
-      dir = argv[++i];
     else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
       out = argv[++i];
   }
-  auto args = bench::Args::parse(argc, argv);
-  if (child) return run_child(args.sites, args.seed, threads, dir, out);
+  const auto args =
+      bench::Args::parse(argc, argv, {.dir = "bench_crash_spill"});
+  if (child) return run_child(args.sites, args.seed, threads, args.dir, out);
 
-  args.sites = env_size("ORIGIN_CRASH_SITES", 20'000);
-  const std::string spill_dir = env_string("ORIGIN_CRASH_DIR",
-                                           "bench_crash_spill");
+  const std::string& spill_dir = args.dir;
   bench::print_header(
       "Kill–resume chaos matrix: crash-consistent streaming corpus",
       "engineering bench (no paper figure); DESIGN.md §15 durability "
@@ -269,13 +211,13 @@ int main(int argc, char** argv) {
   auto t0 = std::chrono::steady_clock::now();
   int rc = spawn_child(self, "env", args.sites, args.seed, 8, spill_dir,
                        child_out, child_log);
-  const double baseline_ms = ms_since(t0);
+  const double baseline_ms = bench::ms_since(t0);
   if (rc != 0) {
     std::fprintf(stderr, "FAIL: baseline child exited %d\n", rc);
     dump_log(child_log);
     return 1;
   }
-  auto baseline = read_json(child_out);
+  auto baseline = bench::read_json(child_out);
   if (!baseline.ok()) {
     std::fprintf(stderr, "FAIL: %s\n", baseline.error().message.c_str());
     return 1;
@@ -301,7 +243,7 @@ int main(int argc, char** argv) {
     t0 = std::chrono::steady_clock::now();
     rc = spawn_child(self, crash_env, args.sites, args.seed, 8, spill_dir,
                      child_out, child_log);
-    const double kill_ms = ms_since(t0);
+    const double kill_ms = bench::ms_since(t0);
     if (rc != util::crash::kCrashExitCode) {
       std::fprintf(stderr, "FAIL: %s child exited %d, want %d (crash)\n",
                    point.point, rc, util::crash::kCrashExitCode);
@@ -313,14 +255,14 @@ int main(int argc, char** argv) {
     t0 = std::chrono::steady_clock::now();
     rc = spawn_child(self, "ORIGIN_RESUME=1", args.sites, args.seed,
                      resume_threads, spill_dir, child_out, child_log);
-    const double resume_ms = ms_since(t0);
+    const double resume_ms = bench::ms_since(t0);
     if (rc != 0) {
       std::fprintf(stderr, "FAIL: %s resume exited %d\n", point.point, rc);
       dump_log(child_log);
       exit_code = 1;
       continue;
     }
-    auto resumed = read_json(child_out);
+    auto resumed = bench::read_json(child_out);
     if (!resumed.ok()) {
       std::fprintf(stderr, "FAIL: %s\n", resumed.error().message.c_str());
       exit_code = 1;
@@ -378,7 +320,7 @@ int main(int argc, char** argv) {
       if (!ok) dump_log(child_log);
     }
     if (ok) {
-      auto resumed = read_json(child_out);
+      auto resumed = bench::read_json(child_out);
       ok = resumed.ok() && same_digests(*baseline, *resumed) &&
            (*resumed)["shards_quarantined"].double_or(0) == 1 &&
            (*resumed)["manifest_resets"].double_or(-1) == 0;
@@ -414,37 +356,6 @@ int main(int argc, char** argv) {
   doc["corruption"] = Json(std::move(corruption));
   doc["max_recovery_overhead_pct"] = max_overhead;
   doc["all_identical"] = exit_code == 0;
-  const std::string rendered = Json(std::move(doc)).dump(2) + "\n";
-  if (!write_file("BENCH_crash.json", rendered)) {
-    std::fprintf(stderr, "cannot write BENCH_crash.json\n");
-    return 1;
-  }
-  std::printf("wrote BENCH_crash.json\n");
-
-#ifdef ORIGIN_REPO_ROOT
-  const std::string committed =
-      std::string(ORIGIN_REPO_ROOT) + "/BENCH_crash.json";
-  double committed_sites = 0;
-  double committed_overhead = 0;
-  if (committed_baseline(committed, &committed_sites, &committed_overhead)) {
-    // Recovery must stay cheap: the worst kill–resume leg may not regress
-    // more than 10 points of baseline wall over the committed reference.
-    if (max_overhead > committed_overhead + 10.0) {
-      std::fprintf(stderr,
-                   "FAIL: recovery overhead regressed (%.1f%% -> %.1f%%, "
-                   "gate +10 points); leaving %s untouched\n",
-                   committed_overhead, max_overhead, committed.c_str());
-      exit_code = 1;
-    }
-  }
-  if (exit_code == 0 &&
-      static_cast<double>(args.sites) >= committed_sites) {
-    if (!write_file(committed, rendered)) {
-      std::fprintf(stderr, "cannot write %s\n", committed.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", committed.c_str());
-  }
-#endif
-  return exit_code;
+  return bench::publish(Json(std::move(doc)), exit_code == 0,
+                        bench::kCrashGate);
 }

@@ -13,20 +13,20 @@
 // behind the buggy agent trip the per-tag breaker while control clients
 // keep coalescing, and probes re-enable ORIGIN after the fix.
 //
-// Emits BENCH_faults.json. Exit status is nonzero if the degraded-path
-// completion rate at the 5% cell drops below 99% — the acceptance floor.
-//
-// Env: ORIGIN_FAULT_SEED overrides the schedule seed (also --seed).
+// Emits BENCH_faults.json through bench/report.h, which gates the degraded
+// 5%-cell median PLT against the committed copy (see the gate table there).
+// Exit status is also nonzero if the degraded-path completion rate at the
+// 5% cell drops below 99% — the acceptance floor. --seed sets the schedule
+// seed.
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "report.h"
 #include "util/json.h"
 #include "browser/environment.h"
 #include "browser/wire_client.h"
@@ -174,6 +174,15 @@ Cell run_cell(double rate, bool degraded, std::uint64_t seed) {
   return cell;
 }
 
+// Rounds as printf("%.Nf") does. The report carries completion rates at 4
+// and median PLTs at 2 decimals, the precision of the committed baseline
+// its gate compares against.
+double fixed(double value, int decimals) {
+  char text[64];
+  std::snprintf(text, sizeof(text), "%.*f", decimals, value);
+  return std::strtod(text, nullptr);
+}
+
 struct KillSwitchReplay {
   int loads_until_disabled = -1;
   std::uint64_t suppressed = 0;
@@ -181,35 +190,6 @@ struct KillSwitchReplay {
   bool suppressed_load_ok = false;
   bool reenabled = false;
 };
-
-// Reads the committed baseline's 5%-cell degraded median PLT, if present.
-// Returns <= 0 when there is no baseline (first run) or it is unreadable.
-double committed_five_pct_median_ms(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return 0.0;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  auto parsed = origin::util::Json::parse(buffer.str());
-  if (!parsed.ok() || !(*parsed)["cells"].is_array()) return 0.0;
-  for (const auto& cell : (*parsed)["cells"].as_array()) {
-    if (cell["degradation"].bool_or(false) &&
-        cell["rate"].double_or(0.0) == 0.05) {
-      return cell["median_plt_ms"].double_or(0.0);
-    }
-  }
-  return 0.0;
-}
-
-bool copy_file_contents(const std::string& from, const std::string& to) {
-  std::ifstream in(from);
-  if (!in) return false;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::ofstream out(to);
-  if (!out) return false;
-  out << buffer.str();
-  return static_cast<bool>(out);
-}
 
 KillSwitchReplay run_kill_switch_replay() {
   KillSwitchReplay replay;
@@ -265,22 +245,18 @@ KillSwitchReplay run_kill_switch_replay() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto args = bench::Args::parse(argc, argv);
-  std::uint64_t seed = args.seed;
-  if (const char* env_seed = std::getenv("ORIGIN_FAULT_SEED")) {
-    seed = std::strtoull(env_seed, nullptr, 0);
-  }
+  const auto args = bench::Args::parse(argc, argv);
   std::printf("== Fault ablation: completion and PLT vs injected fault rate ==\n");
   std::printf(
       "reproduces: no paper figure; robustness floor for the §6 wire "
       "experiments (fault model of §6.7's incident family)\n");
   std::printf("loads per cell: %zu, schedule seed %llu\n\n", kLoadsPerCell,
-              static_cast<unsigned long long>(seed));
+              static_cast<unsigned long long>(args.seed));
 
   std::vector<Cell> cells;
   for (double rate : kRates) {
     for (bool degraded : {false, true}) {
-      cells.push_back(run_cell(rate, degraded, seed));
+      cells.push_back(run_cell(rate, degraded, args.seed));
     }
   }
 
@@ -322,53 +298,6 @@ int main(int argc, char** argv) {
   std::printf("  re-enabled by probe after fix: %s\n",
               replay.reenabled ? "yes" : "NO");
 
-  std::FILE* out = std::fopen("BENCH_faults.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_faults.json\n");
-    return 1;
-  }
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"bench\": \"faults\",\n");
-  std::fprintf(out, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(seed));
-  std::fprintf(out, "  \"loads_per_cell\": %zu,\n", kLoadsPerCell);
-  std::fprintf(out, "  \"peak_rss_bytes\": %llu,\n",
-               static_cast<unsigned long long>(bench::peak_rss_bytes()));
-  std::fprintf(out, "  \"cells\": [\n");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& cell = cells[i];
-    const auto& totals = cell.report.totals();
-    std::fprintf(out,
-                 "    {\"rate\": %.2f, \"degradation\": %s, "
-                 "\"completion_rate\": %.4f, \"median_plt_ms\": %.2f, "
-                 "\"retries\": %llu, \"connections_torn_down\": %llu, "
-                 "\"avoided_coalescings\": %llu, "
-                 "\"deadline_expirations\": %llu}%s\n",
-                 cell.rate, cell.degraded ? "true" : "false",
-                 cell.success_rate(), cell.median_plt_ms(),
-                 static_cast<unsigned long long>(totals.retries),
-                 static_cast<unsigned long long>(totals.connections_torn_down),
-                 static_cast<unsigned long long>(totals.avoided_coalescings),
-                 static_cast<unsigned long long>(totals.deadline_expirations),
-                 i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"kill_switch\": {\n");
-  std::fprintf(out, "    \"disabled_after_loads\": %d,\n",
-               replay.loads_until_disabled);
-  std::fprintf(out, "    \"control_unaffected\": %s,\n",
-               replay.control_unaffected ? "true" : "false");
-  std::fprintf(out, "    \"suppressed_load_ok\": %s,\n",
-               replay.suppressed_load_ok ? "true" : "false");
-  std::fprintf(out, "    \"origin_frames_suppressed\": %llu,\n",
-               static_cast<unsigned long long>(replay.suppressed));
-  std::fprintf(out, "    \"reenabled\": %s\n",
-               replay.reenabled ? "true" : "false");
-  std::fprintf(out, "  }\n");
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-  std::printf("\nwrote BENCH_faults.json\n");
-
   // Acceptance floor: ≥99% completion at 5% faults with degradation on,
   // and the degraded path must measurably beat the raw one.
   bool ok = true;
@@ -393,29 +322,32 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-#ifdef ORIGIN_REPO_ROOT
-  // Regression gate vs the committed baseline: the degraded 5%-cell median
-  // PLT must not regress >10%. On pass, mirror the fresh result to the
-  // repo root so the committed baseline tracks the tree (the same contract
-  // as the perf benches).
-  const std::string committed =
-      std::string(ORIGIN_REPO_ROOT) + "/BENCH_faults.json";
-  const double committed_median = committed_five_pct_median_ms(committed);
-  const double median = five_on->median_plt_ms();
-  if (committed_median > 0 && median > committed_median * 1.1) {
-    std::fprintf(stderr,
-                 "FAIL: degraded 5%%-cell median PLT regressed >10%% vs "
-                 "committed baseline (%.1f -> %.1f ms); leaving %s "
-                 "untouched\n",
-                 committed_median, median, committed.c_str());
-    ok = false;
-  } else if (ok) {
-    if (!copy_file_contents("BENCH_faults.json", committed)) {
-      std::fprintf(stderr, "cannot write %s\n", committed.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", committed.c_str());
+  util::Json::Array cell_array;
+  for (const Cell& cell : cells) {
+    const auto& totals = cell.report.totals();
+    util::Json::Object entry;
+    entry["rate"] = cell.rate;
+    entry["degradation"] = cell.degraded;
+    entry["completion_rate"] = fixed(cell.success_rate(), 4);
+    entry["median_plt_ms"] = fixed(cell.median_plt_ms(), 2);
+    entry["retries"] = totals.retries;
+    entry["connections_torn_down"] = totals.connections_torn_down;
+    entry["avoided_coalescings"] = totals.avoided_coalescings;
+    entry["deadline_expirations"] = totals.deadline_expirations;
+    cell_array.push_back(util::Json(std::move(entry)));
   }
-#endif
-  return ok ? 0 : 1;
+  util::Json::Object kill_switch;
+  kill_switch["disabled_after_loads"] = replay.loads_until_disabled;
+  kill_switch["control_unaffected"] = replay.control_unaffected;
+  kill_switch["suppressed_load_ok"] = replay.suppressed_load_ok;
+  kill_switch["origin_frames_suppressed"] = replay.suppressed;
+  kill_switch["reenabled"] = replay.reenabled;
+  util::Json::Object doc;
+  doc["bench"] = "faults";
+  doc["seed"] = args.seed;
+  doc["loads_per_cell"] = kLoadsPerCell;
+  doc["peak_rss_bytes"] = bench::peak_rss_bytes();
+  doc["cells"] = util::Json(std::move(cell_array));
+  doc["kill_switch"] = util::Json(std::move(kill_switch));
+  return bench::publish(util::Json(std::move(doc)), ok, bench::kFaultsGate);
 }

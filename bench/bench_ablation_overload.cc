@@ -19,8 +19,9 @@
 // byte-identical — the determinism contract extended to every overload
 // counter and close reason.
 //
-// Emits BENCH_overload.json (mirrored to the repo root via
-// ORIGIN_REPO_ROOT like the perf benches). Exit status is nonzero if:
+// Emits BENCH_overload.json through bench/report.h, which gates the
+// defended p99 under attack against the committed copy (see the gate table
+// there). Exit status is also nonzero if:
 //   * well-behaved completion under attack with defenses on drops
 //     below 99%;
 //   * any attacker survives the armed defenses, or any session stays
@@ -28,15 +29,13 @@
 //   * defenses off fails to show the damage (no pinned sessions means the
 //     ablation proves nothing);
 //   * p99 well-behaved PLT under attack exceeds the bound;
-//   * the ledgers differ across thread counts;
-//   * p99 regresses >10% vs the committed BENCH_overload.json.
+//   * the ledgers differ across thread counts.
 //
-// Env: ORIGIN_ABUSE_MIX overrides the attacker mix, ORIGIN_OVERLOAD_SEED
-// the schedule seed (also --seed).
+// Env: ORIGIN_ABUSE_MIX overrides the attacker mix; --seed sets the
+// schedule seed.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,6 +47,7 @@
 #include "h2/abuse.h"
 #include "netsim/network.h"
 #include "netsim/simulator.h"
+#include "report.h"
 #include "server/http2_server.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
@@ -295,31 +295,10 @@ std::vector<Cell> run_all(const h2::AbuseMix& mix, std::uint64_t seed,
   return cells;
 }
 
-double committed_p99_ms(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return 0.0;
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  auto parsed = origin::util::Json::parse(text);
-  if (!parsed.ok()) return 0.0;
-  return (*parsed)["defended_attack_p99_ms"].double_or(0.0);
-}
-
-bool write_file(const std::string& path, const std::string& contents) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << contents;
-  return static_cast<bool>(out);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto args = bench::Args::parse(argc, argv);
-  std::uint64_t seed = args.seed;
-  if (const char* env_seed = std::getenv("ORIGIN_OVERLOAD_SEED")) {
-    seed = std::strtoull(env_seed, nullptr, 0);
-  }
+  const auto args = bench::Args::parse(argc, argv);
   const h2::AbuseMix mix = abuse_mix();
 
   std::printf("== Overload ablation: PoP under abuse at 2x capacity ==\n");
@@ -330,10 +309,10 @@ int main(int argc, char** argv) {
               "%zu, mix: %s, seed %llu\n\n",
               kWorldsPerCell, kGoodClients, kCapacity,
               mix.serialize().c_str(),
-              static_cast<unsigned long long>(seed));
+              static_cast<unsigned long long>(args.seed));
 
-  auto cells = run_all(mix, seed, /*threads=*/8);
-  const auto serial = run_all(mix, seed, /*threads=*/1);
+  auto cells = run_all(mix, args.seed, /*threads=*/8);
+  const auto serial = run_all(mix, args.seed, /*threads=*/1);
   bool deterministic = cells.size() == serial.size();
   for (std::size_t i = 0; deterministic && i < cells.size(); ++i) {
     deterministic = cells[i].ledger == serial[i].ledger;
@@ -358,7 +337,7 @@ int main(int argc, char** argv) {
 
   util::Json::Object doc;
   doc["bench"] = "overload";
-  doc["seed"] = seed;
+  doc["seed"] = args.seed;
   doc["mix"] = mix.serialize();
   doc["worlds_per_cell"] = kWorldsPerCell;
   doc["good_loads_per_world"] = kGoodClients;
@@ -383,69 +362,42 @@ int main(int argc, char** argv) {
   doc["defended_attack_p99_ms"] = on_attack->percentile_ms(0.99);
   doc["deterministic_across_threads"] = deterministic;
   doc["peak_rss_bytes"] = bench::peak_rss_bytes();
-  const std::string rendered = util::Json(std::move(doc)).dump(2) + "\n";
 
-  if (!write_file("BENCH_overload.json", rendered)) {
-    std::fprintf(stderr, "cannot write BENCH_overload.json\n");
-    return 1;
-  }
-  std::printf("wrote BENCH_overload.json\n");
-
-  int exit_code = 0;
+  bool passed = true;
   if (on_attack->completion() < 0.99) {
     std::fprintf(stderr,
                  "FAIL: defended completion under attack is %.2f%% "
                  "(floor: 99%%)\n",
                  100.0 * on_attack->completion());
-    exit_code = 1;
+    passed = false;
   }
   if (on_attack->attackers_shed != on_attack->attackers) {
     std::fprintf(stderr, "FAIL: only %zu/%zu attackers shed\n",
                  on_attack->attackers_shed, on_attack->attackers);
-    exit_code = 1;
+    passed = false;
   }
   if (on_attack->pinned_sessions != 0) {
     std::fprintf(stderr, "FAIL: %zu sessions still pinned with defenses on\n",
                  on_attack->pinned_sessions);
-    exit_code = 1;
+    passed = false;
   }
   if (off_attack->pinned_sessions == 0) {
     std::fprintf(stderr,
                  "FAIL: defenses-off cell pinned no sessions — the ablation "
                  "shows no damage to defend against\n");
-    exit_code = 1;
+    passed = false;
   }
   if (on_attack->percentile_ms(0.99) > kP99BoundMs) {
     std::fprintf(stderr,
                  "FAIL: defended p99 PLT under attack is %.1fms "
                  "(bound: %.0fms)\n",
                  on_attack->percentile_ms(0.99), kP99BoundMs);
-    exit_code = 1;
+    passed = false;
   }
   if (!deterministic) {
     std::fprintf(stderr, "FAIL: ledgers differ across thread counts\n");
-    exit_code = 1;
+    passed = false;
   }
-
-#ifdef ORIGIN_REPO_ROOT
-  const std::string committed =
-      std::string(ORIGIN_REPO_ROOT) + "/BENCH_overload.json";
-  const double committed_p99 = committed_p99_ms(committed);
-  const double p99 = on_attack->percentile_ms(0.99);
-  if (committed_p99 > 0 && p99 > committed_p99 * 1.1) {
-    std::fprintf(stderr,
-                 "FAIL: defended p99 under attack regressed >10%% vs "
-                 "committed baseline (%.1f -> %.1f ms); leaving %s "
-                 "untouched\n",
-                 committed_p99, p99, committed.c_str());
-    exit_code = 1;
-  } else if (exit_code == 0) {
-    if (!write_file(committed, rendered)) {
-      std::fprintf(stderr, "cannot write %s\n", committed.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", committed.c_str());
-  }
-#endif
-  return exit_code;
+  return bench::publish(util::Json(std::move(doc)), passed,
+                        bench::kOverloadGate);
 }

@@ -1,16 +1,20 @@
 // Shared helpers for the reproduction benches: flag parsing, corpus
 // construction, and headers. Every bench accepts:
-//   --sites N   corpus size (default 20000; the paper crawled 315,796)
+//   --sites N   corpus size (default 20000 unless the bench sets its own;
+//               the paper crawled 315,796)
 //   --seed  S   corpus seed (default 42)
+//   --dir   D   spill directory, for the benches that spill shards
 // Defaults reproduce the committed EXPERIMENTS.md numbers exactly.
 #pragma once
 
 #include <sys/resource.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "dataset/collector.h"
 #include "dataset/generator.h"
@@ -27,22 +31,35 @@ inline std::uint64_t peak_rss_bytes() {
   return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
 }
 
+inline double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
 struct Args {
   std::size_t sites = 20'000;
   std::uint64_t seed = 42;
+  std::string dir;
 
-  static Args parse(int argc, char** argv) {
-    Args args;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--sites") == 0 && i + 1 < argc) {
-        args.sites = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-      } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-        args.seed = std::strtoull(argv[++i], nullptr, 10);
-      }
-    }
-    return args;
-  }
+  // `defaults` carries a bench's own default size and spill directory
+  // (omitted: the member initializers above).
+  static Args parse(int argc, char** argv, Args defaults);
 };
+
+inline Args Args::parse(int argc, char** argv, Args defaults = {}) {
+  Args args = std::move(defaults);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--sites") == 0 && i + 1 < argc) {
+      args.sites = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
+      args.seed = std::strtoull(argv[++i], nullptr, 10);
+    } else if (std::strcmp(argv[i], "--dir") == 0 && i + 1 < argc) {
+      args.dir = argv[++i];
+    }
+  }
+  return args;
+}
 
 inline dataset::Corpus make_corpus(const Args& args) {
   dataset::CorpusOptions options;

@@ -8,53 +8,29 @@
 //      a different shard size, and fully materialized must produce
 //      field-identical StreamStats (FNV digests over the serialized HAR of
 //      every measured and reconstructed page);
-//   2. streamed main run — ORIGIN_CORPUS_SITES sites (default 50,000;
-//      the committed baseline is a 1M+ run) spilled to ORIGIN_CORPUS_DIR
-//      with ORIGIN_CORPUS_SHARDS shards (0 = 4,096 sites per shard),
-//      reporting sites/sec and the peak RSS at which it completed;
+//   2. streamed main run — --sites sites (default 50,000) spilled to --dir
+//      (default bench_corpus_spill) in shards of 4,096 sites, reporting
+//      sites/sec and the peak RSS at which it completed;
 //   3. materialized comparison at min(sites, 100,000) — the RSS and
 //      wall-clock the seed path pays for the same work.
 //
-// Emits BENCH_corpus.json in the working directory and, when built with
-// ORIGIN_REPO_ROOT, gates against the repo-root committed baseline:
-//   * golden equality failure is always fatal;
-//   * streamed sites/sec must not regress >10% vs the committed baseline;
-//   * the committed baseline is refreshed only when this run covered at
-//     least as many sites as the committed one (so a 50k CI run never
-//     overwrites the 1M-site reference numbers).
+// Emits BENCH_corpus.json through bench/report.h, which gates streamed
+// sites/sec against the committed copy (see the gate table there). Golden
+// equality failure is always fatal.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "dataset/corpus.h"
+#include "report.h"
 #include "util/hash.h"
 #include "util/json.h"
 
 namespace {
 
 using origin::dataset::StreamStats;
-
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
-}
-
-std::string env_string(const char* name, const char* fallback) {
-  const char* value = std::getenv(name);
-  return (value == nullptr || *value == '\0') ? fallback : value;
-}
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 double sites_per_sec(std::size_t sites, double ms) {
   return ms <= 0 ? 0.0 : static_cast<double>(sites) * 1000.0 / ms;
@@ -98,34 +74,12 @@ StreamStats golden_streamed(std::uint64_t seed, std::size_t threads,
   return *stats;
 }
 
-// Reads the committed baseline's site count and streamed throughput.
-// Returns false when there is no baseline (first run) or it is unreadable.
-bool committed_baseline(const std::string& path, double* sites,
-                        double* streamed_sps) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  auto parsed = origin::util::Json::parse(buffer.str());
-  if (!parsed.ok()) return false;
-  *sites = (*parsed)["eligible_sites"].double_or(0.0);
-  *streamed_sps = (*parsed)["streamed"]["sites_per_sec"].double_or(0.0);
-  return *streamed_sps > 0;
-}
-
-bool write_file(const std::string& path, const std::string& contents) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << contents;
-  return static_cast<bool>(out);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace origin;
-  auto args = bench::Args::parse(argc, argv);
-  args.sites = env_size("ORIGIN_CORPUS_SITES", 50'000);
+  const auto args = bench::Args::parse(
+      argc, argv, {.sites = 50'000, .dir = "bench_corpus_spill"});
   bench::print_header(
       "Streaming corpus: columnar shards, spill-to-disk, out-of-core replay",
       "engineering bench (no paper figure); DESIGN.md §14 memory/throughput "
@@ -133,9 +87,6 @@ int main(int argc, char** argv) {
       args);
 
   const std::size_t threads = 8;
-  const std::string spill_dir = env_string("ORIGIN_CORPUS_DIR",
-                                           "bench_corpus_spill");
-  const std::size_t shard_count = env_size("ORIGIN_CORPUS_SHARDS", 0);
 
   // Leg 1: golden equality on a small corpus — streamed results must be
   // field-identical at any thread count and shard size, and identical to
@@ -186,13 +137,12 @@ int main(int argc, char** argv) {
   dataset::StreamingOptions streamed_options;
   streamed_options.loader = bench::chrome_collect_options().loader;
   streamed_options.threads = threads;
-  streamed_options.shard_count = shard_count;
-  streamed_options.spill_dir = spill_dir;
+  streamed_options.spill_dir = args.dir;
 
   auto t0 = std::chrono::steady_clock::now();
   dataset::StreamingCorpus streaming(corpus, streamed_options);
   auto streamed = streaming.run();
-  const double streamed_ms = ms_since(t0);
+  const double streamed_ms = bench::ms_since(t0);
   if (!streamed.ok()) {
     std::fprintf(stderr, "streamed run failed: %s\n",
                  streamed.error().message.c_str());
@@ -216,7 +166,7 @@ int main(int argc, char** argv) {
   materialized_options.max_sites = materialized_sites;
   t0 = std::chrono::steady_clock::now();
   auto materialized = dataset::run_materialized(corpus, materialized_options);
-  const double materialized_ms = ms_since(t0);
+  const double materialized_ms = bench::ms_since(t0);
   if (!materialized.ok()) {
     std::fprintf(stderr, "materialized run failed: %s\n",
                  materialized.error().message.c_str());
@@ -292,46 +242,12 @@ int main(int argc, char** argv) {
     leg["matches_streamed_at_full_corpus"] = full_match;
     doc["materialized"] = util::Json(std::move(leg));
   }
-  const std::string rendered = util::Json(std::move(doc)).dump(2) + "\n";
-
-  if (!write_file("BENCH_corpus.json", rendered)) {
-    std::fprintf(stderr, "cannot write BENCH_corpus.json\n");
-    return 1;
-  }
-  std::printf("wrote BENCH_corpus.json\n");
-
-  int exit_code = 0;
-  if (!golden_ok || !full_match) {
+  const bool passed = golden_ok && full_match;
+  if (!passed) {
     std::fprintf(stderr,
                  "FAIL: streamed and materialized sweeps disagree — the "
                  "shard-boundary determinism contract is broken\n");
-    exit_code = 1;
   }
-
-#ifdef ORIGIN_REPO_ROOT
-  const std::string committed = std::string(ORIGIN_REPO_ROOT) +
-                                "/BENCH_corpus.json";
-  double committed_sites = 0;
-  double committed_sps = 0;
-  if (committed_baseline(committed, &committed_sites, &committed_sps)) {
-    if (streamed_sps < committed_sps * 0.9) {
-      std::fprintf(stderr,
-                   "FAIL: streamed throughput regressed >10%% vs committed "
-                   "baseline (%.0f -> %.0f sites/s); leaving %s untouched\n",
-                   committed_sps, streamed_sps, committed.c_str());
-      exit_code = 1;
-    }
-  }
-  // Refresh only full-coverage runs: a bounded CI sweep gates but never
-  // replaces the committed large-corpus reference numbers.
-  if (exit_code == 0 &&
-      static_cast<double>(streamed->sites) >= committed_sites) {
-    if (!write_file(committed, rendered)) {
-      std::fprintf(stderr, "cannot write %s\n", committed.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", committed.c_str());
-  }
-#endif
-  return exit_code;
+  return bench::publish(util::Json(std::move(doc)), passed,
+                        bench::kCorpusGate);
 }

@@ -2,17 +2,11 @@
 // frozen string-keyed seed implementation (model/baseline_model.h), on the
 // same corpus in the same run.
 //
-// Emits BENCH_model.json in the working directory and, when built with
-// ORIGIN_REPO_ROOT (the default via bench/CMakeLists.txt), mirrors it to the
-// repo root so the committed baseline tracks the tree. Two gates make the
-// exit status meaningful for scripts/check.sh's perf leg:
-//   * fused replay_batch throughput (the consume overload — the in-place
-//     corpus-replay fast path) must be >= 3x the string-keyed baseline
-//     (the acceptance gate, both sides measured in the same run);
-//   * if a committed BENCH_model.json exists at the repo root, the new
-//     fused-batch throughput must not regress by more than 10%; on a
-//     regression the committed baseline is left untouched and the bench
-//     exits non-zero.
+// Emits BENCH_model.json through bench/report.h, which gates
+// fused_batch.pages_per_sec against the committed copy (see the gate table
+// there). The in-run gate: fused replay_batch throughput (the consume
+// overload — the in-place corpus-replay fast path) must be >= 3x the
+// string-keyed baseline, both sides measured in the same run.
 // Allocation counts come from a global operator new hook: total allocations
 // per page for the baseline loop vs the interned fused path, plus the
 // steady-state count for a second fused pass over warmed per-thread scratch.
@@ -20,15 +14,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <new>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "model/baseline_model.h"
 #include "model/coalescing_model.h"
+#include "report.h"
 #include "util/json.h"
 
 namespace {
@@ -80,25 +72,6 @@ Measurement timed(Fn&& body) {
 
 double pages_per_sec(std::size_t pages, double ms) {
   return ms <= 0 ? 0.0 : static_cast<double>(pages) * 1000.0 / ms;
-}
-
-// Reads the committed baseline's fused-batch throughput, if present.
-// Returns <= 0 when there is no baseline (first run) or it is unreadable.
-double committed_fused_pages_per_sec(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return 0.0;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  auto parsed = origin::util::Json::parse(buffer.str());
-  if (!parsed.ok()) return 0.0;
-  return (*parsed)["fused_batch"]["pages_per_sec"].double_or(0.0);
-}
-
-bool write_file(const std::string& path, const std::string& contents) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << contents;
-  return static_cast<bool>(out);
 }
 
 }  // namespace
@@ -226,40 +199,13 @@ int main(int argc, char** argv) {
   doc["fused_batch_serial"] = entry(fused_serial);
   doc["fused_speedup_vs_baseline"] = speedup;
   doc["peak_rss_bytes"] = bench::peak_rss_bytes();
-  const std::string rendered = util::Json(std::move(doc)).dump(2) + "\n";
-
-  if (!write_file("BENCH_model.json", rendered)) {
-    std::fprintf(stderr, "cannot write BENCH_model.json\n");
-    return 1;
-  }
-  std::printf("wrote BENCH_model.json\n");
-
-  int exit_code = 0;
-  if (speedup < 3.0) {
+  const bool passed = speedup >= 3.0;
+  if (!passed) {
     std::fprintf(stderr,
                  "FAIL: fused batch is %.2fx the string-keyed baseline "
                  "(acceptance gate is 3x)\n",
                  speedup);
-    exit_code = 1;
   }
-
-#ifdef ORIGIN_REPO_ROOT
-  const std::string committed = std::string(ORIGIN_REPO_ROOT) +
-                                "/BENCH_model.json";
-  const double committed_pps = committed_fused_pages_per_sec(committed);
-  if (committed_pps > 0 && fused_pps < committed_pps * 0.9) {
-    std::fprintf(stderr,
-                 "FAIL: fused batch regressed >10%% vs committed baseline "
-                 "(%.0f -> %.0f pages/s); leaving %s untouched\n",
-                 committed_pps, fused_pps, committed.c_str());
-    exit_code = 1;
-  } else if (exit_code == 0) {
-    if (!write_file(committed, rendered)) {
-      std::fprintf(stderr, "cannot write %s\n", committed.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", committed.c_str());
-  }
-#endif
-  return exit_code;
+  return bench::publish(util::Json(std::move(doc)), passed,
+                        bench::kModelGate);
 }

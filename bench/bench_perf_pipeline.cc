@@ -1,11 +1,12 @@
 // Pipeline scaling bench: wall-clock for the sharded corpus pipeline
 // (generate -> load -> model) at 1/2/4/8 worker threads.
 //
-// Emits BENCH_pipeline.json in the working directory with per-stage times,
+// Emits BENCH_pipeline.json through bench/report.h with per-stage times,
 // speedups relative to the serial fallback, and a digest of the serialized
 // HAR stream per run — the digest must be identical across thread counts
 // (the determinism contract; also enforced bitwise by
-// pipeline_determinism_test). Wall-clock speedups are only meaningful on a
+// pipeline_determinism_test), and a run where it is not fails and leaves
+// the committed copy alone. Wall-clock speedups are only meaningful on a
 // multi-core host; on one core the interesting column is the digest.
 #include <chrono>
 #include <cstdio>
@@ -14,7 +15,9 @@
 
 #include "bench_common.h"
 #include "model/coalescing_model.h"
+#include "report.h"
 #include "util/fnv.h"
+#include "util/json.h"
 #include "web/har_json.h"
 
 namespace {
@@ -29,12 +32,6 @@ struct RunResult {
   double total_ms() const { return generate_ms + load_ms + model_ms; }
 };
 
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 RunResult run_once(const origin::bench::Args& args, std::size_t threads,
                    std::size_t max_pages) {
   using namespace origin;
@@ -47,7 +44,7 @@ RunResult run_once(const origin::bench::Args& args, std::size_t threads,
   corpus_options.seed = args.seed;
   corpus_options.threads = threads;
   dataset::Corpus corpus(corpus_options);
-  result.generate_ms = ms_since(t0);
+  result.generate_ms = bench::ms_since(t0);
 
   t0 = std::chrono::steady_clock::now();
   auto collect_options = bench::chrome_collect_options();
@@ -61,7 +58,7 @@ RunResult run_once(const origin::bench::Args& args, std::size_t threads,
                      digest = web::har_digest(load, digest, &har_scratch);
                      loads.push_back(load);
                    });
-  result.load_ms = ms_since(t0);
+  result.load_ms = bench::ms_since(t0);
   result.har_digest = digest;
   result.pages = loads.size();
 
@@ -70,7 +67,7 @@ RunResult run_once(const origin::bench::Args& args, std::size_t threads,
   auto analyses = model.analyze_batch(loads, threads);
   auto reconstructed = model.reconstruct_batch(loads, analyses, "", threads);
   (void)reconstructed;
-  result.model_ms = ms_since(t0);
+  result.model_ms = bench::ms_since(t0);
   return result;
 }
 
@@ -111,47 +108,29 @@ int main(int argc, char** argv) {
   std::printf("\nHAR digest identical across thread counts: %s\n",
               deterministic ? "yes" : "NO — DETERMINISM VIOLATION");
 
-  std::string json;
-  char line[256];
-  auto append = [&](const char* fmt, auto... values) {
-    std::snprintf(line, sizeof(line), fmt, values...);
-    json += line;
-  };
-  append("{\n");
-  append("  \"bench\": \"pipeline\",\n");
-  append("  \"sites\": %zu,\n", args.sites);
-  append("  \"seed\": %llu,\n", static_cast<unsigned long long>(args.seed));
-  append("  \"pages\": %zu,\n", runs.front().pages);
-  append("  \"deterministic\": %s,\n", deterministic ? "true" : "false");
-  append("  \"peak_rss_bytes\": %llu,\n",
-         static_cast<unsigned long long>(bench::peak_rss_bytes()));
-  append("  \"runs\": [\n");
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunResult& r = runs[i];
-    append("    {\"threads\": %zu, \"generate_ms\": %.3f, "
-           "\"load_ms\": %.3f, \"model_ms\": %.3f, \"total_ms\": %.3f, "
-           "\"speedup_vs_serial\": %.3f, \"har_digest\": \"%016llx\"}%s\n",
-           r.threads, r.generate_ms, r.load_ms, r.model_ms, r.total_ms(),
-           runs.front().total_ms() / r.total_ms(),
-           static_cast<unsigned long long>(r.har_digest),
-           i + 1 < runs.size() ? "," : "");
+  util::Json::Array run_array;
+  for (const RunResult& r : runs) {
+    char digest[32];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(r.har_digest));
+    util::Json::Object run;
+    run["threads"] = r.threads;
+    run["generate_ms"] = r.generate_ms;
+    run["load_ms"] = r.load_ms;
+    run["model_ms"] = r.model_ms;
+    run["total_ms"] = r.total_ms();
+    run["speedup_vs_serial"] = runs.front().total_ms() / r.total_ms();
+    run["har_digest"] = digest;
+    run_array.push_back(util::Json(std::move(run)));
   }
-  append("  ]\n}\n");
-
-  // Working directory first, then the repo-root mirror the perf leg tracks.
-  std::vector<std::string> outputs = {"BENCH_pipeline.json"};
-#ifdef ORIGIN_REPO_ROOT
-  outputs.push_back(std::string(ORIGIN_REPO_ROOT) + "/BENCH_pipeline.json");
-#endif
-  for (const auto& path : outputs) {
-    std::FILE* out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::printf("wrote %s\n", path.c_str());
-  }
-  return deterministic ? 0 : 1;
+  util::Json::Object doc;
+  doc["bench"] = "pipeline";
+  doc["sites"] = args.sites;
+  doc["seed"] = args.seed;
+  doc["pages"] = runs.front().pages;
+  doc["deterministic"] = deterministic;
+  doc["peak_rss_bytes"] = bench::peak_rss_bytes();
+  doc["runs"] = util::Json(std::move(run_array));
+  return bench::publish(util::Json(std::move(doc)), deterministic,
+                        bench::kPipelineGate);
 }

@@ -37,26 +37,10 @@
 #      pipeline determinism + fault-schedule determinism + the overload
 #      ledger 1-vs-8-thread determinism checks) with ORIGIN_THREADS=8, so
 #      every shard path runs contended under the race detector
-#  10. perf: Release build of the perf + ablation benches; each emits its
-#      BENCH_*.json at the repo root and exits non-zero when a gate fails
-#      (bench_perf_model: fused replay >= 3x the string-keyed baseline and
-#      no >10% regression against the committed BENCH_model.json;
-#      bench_ablation_overload: >=99% well-behaved completion under attack,
-#      every attacker shed, zero pinned sessions, bounded p99, and no >10%
-#      defended-p99 regression against the committed BENCH_overload.json;
-#      bench_ablation_faults: no >10% degraded-median regression against
-#      the committed BENCH_faults.json;
-#      bench_perf_corpus: streamed/materialized StreamStats equality on the
-#      golden 1k corpus, per-shard content CRCs, no >10% streamed sites/sec
-#      regression against the committed BENCH_corpus.json — the CI-sized
-#      run (ORIGIN_CORPUS_SITES, default 50k) gates but never overwrites
-#      the committed 1M-site baseline numbers;
-#      bench_ablation_crash: the process-level kill–resume chaos matrix —
-#      a child is hard-killed (ORIGIN_CRASH_AT) at every crash-point class
-#      and resumed; every resume must be digest-identical to the
-#      uninterrupted baseline, a flipped shard byte must quarantine +
-#      rebuild, and the worst-case recovery overhead must not regress more
-#      than 10 points over the committed BENCH_crash.json)
+#  10. perf: Release build of the perf + ablation benches; each makes its
+#      in-run checks, gates one metric against its committed BENCH_*.json
+#      at the repo root (the gate table in bench/report.h), refreshes that
+#      copy only on a passing run, and exits non-zero when either fails
 #
 # Usage: scripts/check.sh [--quick]
 #   --quick   tier-1 + analyze only; skip the sanitizer rebuilds and perf

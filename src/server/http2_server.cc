@@ -1,55 +1,11 @@
 #include "server/http2_server.h"
 
 #include <charconv>
-#include <cstdlib>
 #include <string>
 
 #include "util/hot_path.h"
 
 namespace origin::server {
-
-namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  std::uint64_t value = 0;
-  const std::string_view text(raw);
-  const auto parsed =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (parsed.ec != std::errc{} || parsed.ptr != text.data() + text.size()) {
-    return fallback;
-  }
-  return value;
-}
-
-}  // namespace
-
-OverloadConfig OverloadConfig::from_env() { return from_env(OverloadConfig{}); }
-
-OverloadConfig OverloadConfig::from_env(OverloadConfig defaults) {
-  OverloadConfig config = defaults;
-  config.enabled = env_u64("ORIGIN_OVERLOAD", config.enabled ? 1 : 0) != 0;
-  config.max_session_rsts =
-      env_u64("ORIGIN_MAX_SESSION_RSTS", config.max_session_rsts);
-  config.max_session_pings =
-      env_u64("ORIGIN_MAX_SESSION_PINGS", config.max_session_pings);
-  config.max_session_settings =
-      env_u64("ORIGIN_MAX_SESSION_SETTINGS", config.max_session_settings);
-  config.max_session_header_bytes = env_u64("ORIGIN_MAX_SESSION_HEADER_BYTES",
-                                            config.max_session_header_bytes);
-  config.max_session_response_bytes = env_u64(
-      "ORIGIN_MAX_SESSION_RESPONSE_BYTES", config.max_session_response_bytes);
-  config.stall_timeout = origin::util::Duration::millis(static_cast<double>(
-      env_u64("ORIGIN_STALL_TIMEOUT_MS",
-              static_cast<std::uint64_t>(config.stall_timeout.count_micros()) /
-                  1000)));
-  config.drain_grace = origin::util::Duration::millis(static_cast<double>(
-      env_u64("ORIGIN_DRAIN_GRACE_MS",
-              static_cast<std::uint64_t>(config.drain_grace.count_micros()) /
-                  1000)));
-  return config;
-}
 
 void Http2Server::Stats::merge(const Stats& other) {
   connections += other.connections;

@@ -87,14 +87,6 @@ struct OverloadConfig {
   // GOAWAY and trailing response bytes; the linger must exceed the link's
   // one-way latency plus transfer time.
   origin::util::Duration drain_linger = origin::util::Duration::millis(100);
-
-  // Applies the ORIGIN_* environment knobs on top of `defaults`:
-  // ORIGIN_OVERLOAD (0/1), ORIGIN_MAX_SESSION_RSTS, ORIGIN_MAX_SESSION_PINGS,
-  // ORIGIN_MAX_SESSION_SETTINGS, ORIGIN_MAX_SESSION_HEADER_BYTES,
-  // ORIGIN_MAX_SESSION_RESPONSE_BYTES, ORIGIN_STALL_TIMEOUT_MS,
-  // ORIGIN_DRAIN_GRACE_MS.
-  static OverloadConfig from_env(OverloadConfig defaults);
-  static OverloadConfig from_env();
 };
 
 struct ServerConfig {

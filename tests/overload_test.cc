@@ -61,21 +61,6 @@ TEST(Overload, AbuseMixRejectsMalformedEntries) {
   EXPECT_FALSE(h2::AbuseMix::parse("teapot_flood=2").ok());
 }
 
-TEST(Overload, OverloadConfigReadsEnvKnobs) {
-  ::setenv("ORIGIN_OVERLOAD", "1", 1);
-  ::setenv("ORIGIN_MAX_SESSION_RSTS", "7", 1);
-  ::setenv("ORIGIN_STALL_TIMEOUT_MS", "1500", 1);
-  auto config = server::OverloadConfig::from_env();
-  ::unsetenv("ORIGIN_OVERLOAD");
-  ::unsetenv("ORIGIN_MAX_SESSION_RSTS");
-  ::unsetenv("ORIGIN_STALL_TIMEOUT_MS");
-  EXPECT_TRUE(config.enabled);
-  EXPECT_EQ(config.max_session_rsts, 7u);
-  EXPECT_EQ(config.stall_timeout.count_micros(), 1'500'000);
-  // Untouched knobs keep their defaults.
-  EXPECT_EQ(config.max_session_settings, 32u);
-}
-
 // --- Per-kind shed tests ---------------------------------------------------
 
 // Bare serving world for raw abusive clients: no TLS machinery needed, the
@@ -336,7 +321,7 @@ TEST(Overload, EnvAbuseMatrixShedsEveryAttackerAndServesTheRest) {
   auto mix = h2::AbuseMix::parse(mix_text);
   ASSERT_TRUE(mix.ok()) << mix.error().message;
 
-  server::OverloadConfig overload = server::OverloadConfig::from_env();
+  server::OverloadConfig overload;
   overload.enabled = true;
   OverloadWireWorld world(overload);
   std::vector<std::unique_ptr<h2::AbusiveClient>> attackers;
