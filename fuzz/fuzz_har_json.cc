@@ -10,6 +10,9 @@
 //   4. One formatter — an exported HAR is a Json::dump fixed point,
 //      compact and pretty-printed: the streamed export and the tree dump
 //      agree on key order, number format and string escapes.
+//   5. Folded digest — har_digest, which hashes the HAR as it is written,
+//      equals FNV-1a-64 over the exported text, at a seed taken from the
+//      input bytes so the state's low byte varies.
 #include <cstdint>
 #include <span>
 #include <string>
@@ -17,6 +20,7 @@
 
 #include "util/bytes.h"
 #include "util/check.h"
+#include "util/fnv.h"
 #include "util/json.h"
 #include "web/har_json.h"
 
@@ -48,6 +52,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       ORIGIN_CHECK(parsed.ok() && parsed.value().dump(indent) == exported,
                    "har fuzz: exported HAR is not a dump() fixed point");
     }
+    const std::uint64_t seed = origin::util::fnv1a64(text);
+    ORIGIN_CHECK(origin::web::har_digest(load.value(), seed) ==
+                     origin::util::fnv1a64(
+                         origin::web::to_har_string(load.value()), seed),
+                 "har fuzz: folded digest differs from FNV of the text");
   }
   return 0;
 }

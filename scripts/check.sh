@@ -4,7 +4,12 @@
 # Runs, in order:
 #   1. tier-1: default build + full ctest (includes the origin_analyze
 #      gates and the deterministic fuzz-corpus replays)
-#   2. one origin_analyze run over the full src/ tree: the hot-path
+#   2. the repository benchmark's own tests: perfbench/ configured as its
+#      own project into build-perfbench + its ctest. TracedCorpus.* sets
+#      the library's folded HAR digest (StreamingCorpus::run at 1 and 4
+#      threads) against perfbench's separately computed
+#      fnv1a64(to_har_string(load)) chain over the whole pipeline
+#   3. one origin_analyze run over the full src/ tree: the hot-path
 #      allocation, determinism, layering, lint (per-line source rules),
 #      transitive-hot, lock-order, and error-propagation contracts must
 #      have zero unwaived findings AND zero findings drift — every waived
@@ -14,37 +19,37 @@
 #      print at the end of the leg; the fresh machine-readable findings
 #      land in analyze_findings.json at the repo root (committing that file
 #      is how the baseline is updated)
-#   3. clang-tidy over the parser directories, when clang-tidy is on PATH
+#   4. clang-tidy over the parser directories, when clang-tidy is on PATH
 #      (advisory skip otherwise — the pinned CI image is gcc-only)
-#   4. ASan preset build + full ctest
-#   5. fault matrix: the wire/loader suites replayed at injected fault
+#   5. ASan preset build + full ctest
+#   6. fault matrix: the wire/loader suites replayed at injected fault
 #      rates 0 / 5 / 20% (ORIGIN_FAULT_RATE) under the ASan build, so every
 #      degradation path (timeout, backoff, avoid-list, re-dispatch) runs
 #      with the allocator instrumented
-#   6. overload abuse matrix: the server-side overload suites replayed
+#   7. overload abuse matrix: the server-side overload suites replayed
 #      under the ASan build across ORIGIN_ABUSE_MIX attacker mixes, so
 #      every shed path (rapid-reset, header bomb, PING/SETTINGS floods,
 #      slowloris reaping, admission refusal, drain) runs with the
 #      allocator instrumented under each mix
-#   7. kill–resume matrix: the crash-consistency suites (durable-file
+#   8. kill–resume matrix: the crash-consistency suites (durable-file
 #      commit windows, OCM1 manifest totality, the in-process kill–resume
 #      matrix over every ORIGIN_CRASH_AT point class at 1 and 8 threads)
 #      replayed under the ASan build, so every recovery path (torn-temp
 #      sweep, journal tail truncation, quarantine + rebuild) runs with the
 #      allocator instrumented
-#   8. UBSan preset build + full ctest
-#   9. TSan preset build + the concurrency suites (thread pool stress +
+#   9. UBSan preset build + full ctest
+#  10. TSan preset build + the concurrency suites (thread pool stress +
 #      pipeline determinism + fault-schedule determinism + the overload
 #      ledger 1-vs-8-thread determinism checks) with ORIGIN_THREADS=8, so
 #      every shard path runs contended under the race detector
-#  10. perf: Release build of the perf + ablation benches; each makes its
+#  11. perf: Release build of the perf + ablation benches; each makes its
 #      in-run checks, gates one metric against its committed BENCH_*.json
 #      at the repo root (the gate table in bench/report.h), refreshes that
 #      copy only on a passing run, and exits non-zero when either fails
 #
 # Usage: scripts/check.sh [--quick]
-#   --quick   tier-1 + analyze only; skip the sanitizer rebuilds and perf
-#             leg.
+#   --quick   tier-1, perfbench tests and analyze only; skip the sanitizer
+#             rebuilds and perf leg.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -59,17 +64,23 @@ run_suite() {
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
 }
 
-echo "==> [1/10] tier-1 build + ctest (analyze + fuzz replays included)"
+echo "==> [1/11] tier-1 build + ctest (analyze + fuzz replays included)"
 run_suite build
 
-echo "==> [2/10] origin_analyze contract gate (full src/ tree, drift-checked)"
+echo "==> [2/11] perfbench tests (library digest vs perfbench's text digest)"
+cmake -B build-perfbench -S perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perfbench -j "$JOBS"
+ctest --test-dir build-perfbench --output-on-failure --no-tests=error \
+  -j "$JOBS"
+
+echo "==> [3/11] origin_analyze contract gate (full src/ tree, drift-checked)"
 ./build/tools/analyze/origin_analyze --root=. \
   --waivers=tools/analyze/waivers.txt \
   --baseline=analyze_findings.json \
   --json=analyze_findings.json src
 echo "findings artifact: analyze_findings.json (commit to accept new waivers)"
 
-echo "==> [3/10] clang-tidy (parser directories)"
+echo "==> [4/11] clang-tidy (parser directories)"
 if command -v clang-tidy >/dev/null 2>&1; then
   cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
   git ls-files 'src/h2/*.cc' 'src/hpack/*.cc' 'src/web/*.cc' 'src/util/*.cc' |
@@ -83,17 +94,17 @@ if [[ "$QUICK" == "1" ]]; then
   exit 0
 fi
 
-echo "==> [4/10] AddressSanitizer preset"
+echo "==> [5/11] AddressSanitizer preset"
 run_suite build-asan -DORIGIN_SANITIZE=address
 
-echo "==> [5/10] fault matrix (wire suites at 0/5/20% injected faults, ASan)"
+echo "==> [6/11] fault matrix (wire suites at 0/5/20% injected faults, ASan)"
 for rate in 0 0.05 0.20; do
   echo "--- ORIGIN_FAULT_RATE=$rate"
   ORIGIN_FAULT_RATE="$rate" ctest --test-dir build-asan --output-on-failure \
     -j "$JOBS" -R 'FaultInjection|FaultDeterminism|KillSwitch|WireClient|Http2Server|Middleboxes'
 done
 
-echo "==> [6/10] overload abuse matrix (ORIGIN_ABUSE_MIX sweep, ASan)"
+echo "==> [7/11] overload abuse matrix (ORIGIN_ABUSE_MIX sweep, ASan)"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
   -R 'Overload|Admission'
 for mix in 'rapid_reset=6' 'slowloris=4' \
@@ -103,20 +114,20 @@ for mix in 'rapid_reset=6' 'slowloris=4' \
     -R 'Overload.EnvAbuseMatrixShedsEveryAttackerAndServesTheRest'
 done
 
-echo "==> [7/10] kill–resume matrix (crash-consistency suites, ASan)"
+echo "==> [8/11] kill–resume matrix (crash-consistency suites, ASan)"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
   -R 'CrashResume|DurableFile|Manifest|FuzzRegressionManifest|fuzz_manifest_replay'
 
-echo "==> [8/10] UndefinedBehaviorSanitizer preset"
+echo "==> [9/11] UndefinedBehaviorSanitizer preset"
 run_suite build-ubsan -DORIGIN_SANITIZE=undefined
 
-echo "==> [9/10] ThreadSanitizer preset (concurrency suites, 8 threads)"
+echo "==> [10/11] ThreadSanitizer preset (concurrency suites, 8 threads)"
 cmake -B build-tsan -S . -DORIGIN_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS"
 ORIGIN_THREADS=8 ctest --test-dir build-tsan --output-on-failure \
   -R 'ThreadPool|PipelineDeterminism|FaultDeterminism|BitIdenticalAcrossThreadCounts'
 
-echo "==> [10/10] perf gates (Release benches, repo-root BENCH_*.json)"
+echo "==> [11/11] perf gates (Release benches, repo-root BENCH_*.json)"
 cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-perf -j "$JOBS" \
   --target bench_perf_pipeline bench_perf_model bench_perf_corpus \

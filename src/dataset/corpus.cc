@@ -60,7 +60,6 @@ std::size_t sweep_shard_files(const std::string& dir) {
 // Shared per-page aggregation between the streamed and materialized paths.
 struct Aggregator {
   StreamStats stats;
-  std::string har_scratch;  // reused by every page's digest
 
   void measured(const web::PageLoad& load) {
     stats.pages += 1;
@@ -69,8 +68,7 @@ struct Aggregator {
     stats.measured_tls += load.tls_connection_count();
     stats.measured_validations += load.certificate_validation_count();
     stats.measured_plt_us += load.page_load_time().count_micros();
-    stats.measured_digest =
-        web::har_digest(load, stats.measured_digest, &har_scratch);
+    stats.measured_digest = web::har_digest(load, stats.measured_digest);
   }
 
   void analyzed(const model::PageAnalysis& analysis) {
@@ -84,7 +82,7 @@ struct Aggregator {
   void reconstructed(const web::PageLoad& load) {
     stats.reconstructed_plt_us += load.page_load_time().count_micros();
     stats.reconstructed_digest =
-        web::har_digest(load, stats.reconstructed_digest, &har_scratch);
+        web::har_digest(load, stats.reconstructed_digest);
   }
 };
 

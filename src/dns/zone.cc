@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/strings.h"
-
 namespace origin::dns {
 
 void Zone::add_a(const std::string& name, IpAddress address,
@@ -42,8 +40,10 @@ void Zone::clear_addresses(const std::string& name) {
                 records.end());
 }
 
-bool Zone::authoritative_for(const std::string& name) const {
-  return name == apex_ || origin::util::ends_with(name, "." + apex_);
+bool Zone::authoritative_for(std::string_view name) const {
+  if (name.size() <= apex_.size()) return name == apex_;
+  return name[name.size() - apex_.size() - 1] == '.' &&
+         name.ends_with(apex_);
 }
 
 namespace {
@@ -124,26 +124,32 @@ Zone& AuthoritativeDns::add_zone(const std::string& apex) {
   return it->second;
 }
 
-Zone* AuthoritativeDns::find_zone_for(const std::string& name) {
-  Zone* best = nullptr;
-  for (auto& [apex, zone] : zones_) {
-    if (zone.authoritative_for(name)) {
-      // Longest-suffix match wins ("img.cdn.example.com" prefers the
-      // "cdn.example.com" zone over "example.com").
-      if (best == nullptr || apex.size() > best->apex().size()) best = &zone;
+namespace {
+
+// The apexes authoritative_for accepts for `name` are the name itself and
+// each suffix that follows a '.'. Looking those up longest first, the
+// first hit is the longest such apex.
+template <typename Zones>
+auto longest_suffix_zone(Zones& zones, std::string_view name)
+    -> decltype(&zones.begin()->second) {
+  for (std::size_t start = 0;;) {
+    if (auto it = zones.find(name.substr(start)); it != zones.end()) {
+      return &it->second;
     }
+    const std::size_t dot = name.find('.', start);
+    if (dot == std::string_view::npos) return nullptr;
+    start = dot + 1;
   }
-  return best;
 }
 
-const Zone* AuthoritativeDns::find_zone_for(const std::string& name) const {
-  const Zone* best = nullptr;
-  for (const auto& [apex, zone] : zones_) {
-    if (zone.authoritative_for(name)) {
-      if (best == nullptr || apex.size() > best->apex().size()) best = &zone;
-    }
-  }
-  return best;
+}  // namespace
+
+Zone* AuthoritativeDns::find_zone_for(std::string_view name) {
+  return longest_suffix_zone(zones_, name);
+}
+
+const Zone* AuthoritativeDns::find_zone_for(std::string_view name) const {
+  return longest_suffix_zone(zones_, name);
 }
 
 std::vector<ResourceRecord> AuthoritativeDns::query(const std::string& name,

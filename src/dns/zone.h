@@ -9,8 +9,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dns/record.h"
@@ -44,7 +46,9 @@ class Zone {
   // "DNS changes were undone").
   void clear_addresses(const std::string& name);
 
-  bool authoritative_for(const std::string& name) const;
+  // `name` is the apex or a name under it ("img.example.com" for
+  // "example.com", not "notexample.com").
+  bool authoritative_for(std::string_view name) const;
 
   // Answers a query without CNAME chasing (the resolver does that),
   // advancing this zone's internal rotation counter. Stateful: two equal
@@ -75,9 +79,15 @@ class Zone {
 // The set of zones a recursive resolver can reach.
 class AuthoritativeDns {
  public:
+  using ZoneMap = std::map<std::string, Zone, std::less<>>;  // keyed by apex
+
   Zone& add_zone(const std::string& apex);
-  Zone* find_zone_for(const std::string& name);
-  const Zone* find_zone_for(const std::string& name) const;
+  // The zone with the longest apex authoritative for `name`, or null
+  // ("img.cdn.example.com" prefers a "cdn.example.com" zone over an
+  // "example.com" one).
+  Zone* find_zone_for(std::string_view name);
+  const Zone* find_zone_for(std::string_view name) const;
+  const ZoneMap& zones() const { return zones_; }
 
   std::uint64_t query_count() const {
     return queries_.load(std::memory_order_relaxed);
@@ -91,7 +101,7 @@ class AuthoritativeDns {
                                        std::uint64_t rotation) const;
 
  private:
-  std::map<std::string, Zone> zones_;  // keyed by apex
+  ZoneMap zones_;
   // Atomic: concurrent page loads all funnel their recursive queries here.
   mutable std::atomic<std::uint64_t> queries_ = 0;
 };

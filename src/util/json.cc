@@ -1,8 +1,6 @@
 #include "util/json.h"
 
 #include <cctype>
-#include <charconv>
-#include <cmath>
 #include <cstdlib>
 #include <limits>
 
@@ -214,158 +212,32 @@ std::int64_t clamp_to_int64(double d) {
   return static_cast<std::int64_t>(d);
 }
 
-JsonWriter& JsonWriter::key(std::string_view name) {
-  separate();
-  out_->push_back('"');
-  escaped(name);
-  out_->append("\":");
-  if (indent_ > 0) out_->push_back(' ');
-  after_key_ = true;
-  return *this;
-}
-
-void JsonWriter::null_value() {
-  begin_value();
-  out_->append("null");
-}
-
-void JsonWriter::bool_value(bool value) {
-  begin_value();
-  out_->append(value ? "true" : "false");
-}
-
-void JsonWriter::int_value(std::int64_t value) {
-  begin_value();
-  char buf[24];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
-  out_->append(buf, result.ptr);
-}
-
-void JsonWriter::double_value(double value) {
-  begin_value();
-  if (!std::isfinite(value)) {
-    out_->append("null");
-    return;
+// Built at compile time: each run costs 256 hashes of its text.
+constinit const JsonWriter::FoldedLayout JsonWriter::kFolded = [] {
+  constexpr std::string_view kSpaces = "            ";
+  static_assert(kSpaces.size() == kFoldIndent * kFoldDepth);
+  FoldedLayout layout;
+  for (int depth = 0; depth <= kFoldDepth; ++depth) {
+    const std::string_view indent =
+        kSpaces.substr(0, static_cast<std::size_t>(kFoldIndent * depth));
+    layout.lines[0][depth] = FnvRun({"\n", indent});
+    layout.lines[1][depth] = FnvRun({",\n", indent});
+    layout.closers[0][depth] = FnvRun({"\n", indent, "}"});
+    layout.closers[1][depth] = FnvRun({"\n", indent, "]"});
   }
+  return layout;
+}();
+
+void JsonWriter::text_bytes(std::string_view bytes) { out_->append(bytes); }
+
+void JsonWriter::text_spaces(std::size_t count) { out_->append(count, ' '); }
+
+std::string_view JsonWriter::format_double(double value, char (&buf)[32]) {
   // to_chars with a precision is specified as printf's conversion in the
   // "C" locale, so this is "%.15g" without the locale and varargs cost.
-  char buf[32];
   const auto result = std::to_chars(buf, buf + sizeof(buf), value,
                                     std::chars_format::general, 15);
-  out_->append(buf, result.ptr);
-}
-
-void JsonWriter::millis_value(std::int64_t micros) {
-  // For |micros| < 10^15 the quotient micros / 1000 has at most 15
-  // significant digits, and the double nearest it lies within half a unit
-  // of the 15th, so "%.15g" prints the quotient itself: in fixed notation
-  // (it is 0 or at least 0.001, and below 10^12), with trailing zeros and
-  // a bare point dropped. Past the bound, format the double.
-  constexpr std::int64_t kExactBound = 1'000'000'000'000'000;
-  if (micros <= -kExactBound || micros >= kExactBound) {
-    double_value(static_cast<double>(micros) / 1000.0);
-    return;
-  }
-  begin_value();
-  char buf[24];
-  char* p = buf;
-  if (micros < 0) *p++ = '-';
-  const std::uint64_t magnitude = static_cast<std::uint64_t>(
-      micros < 0 ? -micros : micros);
-  p = std::to_chars(p, buf + sizeof(buf), magnitude / 1000).ptr;
-  const auto fraction = static_cast<unsigned>(magnitude % 1000);
-  if (fraction != 0) {
-    const unsigned tenths = fraction / 100;
-    const unsigned hundredths = fraction / 10 % 10;
-    const unsigned thousandths = fraction % 10;
-    *p++ = '.';
-    *p++ = static_cast<char>('0' + tenths);
-    if (hundredths != 0 || thousandths != 0) {
-      *p++ = static_cast<char>('0' + hundredths);
-    }
-    if (thousandths != 0) *p++ = static_cast<char>('0' + thousandths);
-  }
-  out_->append(buf, p);
-}
-
-void JsonWriter::string_value(std::string_view value) {
-  begin_value();
-  out_->push_back('"');
-  escaped(value);
-  out_->push_back('"');
-}
-
-void JsonWriter::string_value(std::initializer_list<std::string_view> parts) {
-  begin_value();
-  out_->push_back('"');
-  for (std::string_view part : parts) escaped(part);
-  out_->push_back('"');
-}
-
-void JsonWriter::begin_value() {
-  if (after_key_) {
-    after_key_ = false;
-  } else if (depth_ > 0) {
-    separate();
-  }
-}
-
-// Comma after a previous member, then the member's own line.
-void JsonWriter::separate() {
-  if (!empty_) out_->push_back(',');
-  empty_ = false;
-  newline();
-}
-
-void JsonWriter::newline() {
-  if (indent_ > 0) {
-    out_->push_back('\n');
-    out_->append(static_cast<std::size_t>(indent_) *
-                     static_cast<std::size_t>(depth_),
-                 ' ');
-  }
-}
-
-void JsonWriter::open_container(char bracket) {
-  begin_value();
-  out_->push_back(bracket);
-  ++depth_;
-  empty_ = true;
-}
-
-// A closed container is a member of its parent, which is therefore not
-// empty any more.
-void JsonWriter::close_container(char bracket) {
-  --depth_;
-  if (!empty_) newline();
-  out_->push_back(bracket);
-  empty_ = false;
-}
-
-// Appends `text` with JSON escapes, copying unescaped runs whole.
-void JsonWriter::escaped(std::string_view text) {
-  std::size_t run = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const auto c = static_cast<unsigned char>(text[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;
-    out_->append(text.data() + run, i - run);
-    run = i + 1;
-    switch (c) {
-      case '"': out_->append("\\\""); break;
-      case '\\': out_->append("\\\\"); break;
-      case '\n': out_->append("\\n"); break;
-      case '\r': out_->append("\\r"); break;
-      case '\t': out_->append("\\t"); break;
-      case '\b': out_->append("\\b"); break;
-      case '\f': out_->append("\\f"); break;
-      default: {
-        constexpr char kHex[] = "0123456789abcdef";
-        const char code[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
-        out_->append(code, sizeof(code));
-      }
-    }
-  }
-  out_->append(text.data() + run, text.size() - run);
+  return std::string_view(buf, result.ptr);
 }
 
 std::int64_t Json::as_int() const {

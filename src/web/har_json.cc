@@ -1,10 +1,9 @@
 #include "web/har_json.h"
 
-#include "util/fnv.h"
-
 namespace origin::web {
 
 using origin::util::Json;
+using origin::util::JsonKey;
 using origin::util::JsonWriter;
 using origin::util::make_error;
 using origin::util::Result;
@@ -46,18 +45,69 @@ RequestMode mode_from_name(const std::string& name) {
   return RequestMode::kSubresource;
 }
 
+// write_har's member names. Each carries its folded run for har_digest,
+// so they live here, built at compile time, rather than per call.
+constexpr JsonKey kAddressV6{"addressV6"};
+constexpr JsonKey kAddressValue{"addressValue"};
+constexpr JsonKey kAsn{"asn"};
+constexpr JsonKey kBlocked{"blocked"};
+constexpr JsonKey kCertIssuer{"certIssuer"};
+constexpr JsonKey kCertSanCount{"certSanCount"};
+constexpr JsonKey kCertSerial{"certSerial"};
+constexpr JsonKey kConnect{"connect"};
+constexpr JsonKey kConnectionId{"connectionId"};
+constexpr JsonKey kContent{"content"};
+constexpr JsonKey kCreator{"creator"};
+constexpr JsonKey kDns{"dns"};
+constexpr JsonKey kDnsAnswerSet{"dnsAnswerSet"};
+constexpr JsonKey kEntries{"entries"};
+constexpr JsonKey kExtraDnsQueries{"_extraDnsQueries"};
+constexpr JsonKey kExtraTlsConnections{"_extraTlsConnections"};
+constexpr JsonKey kHttpVersion{"httpVersion"};
+constexpr JsonKey kId{"id"};
+constexpr JsonKey kLog{"log"};
+constexpr JsonKey kMethod{"method"};
+constexpr JsonKey kMimeType{"mimeType"};
+constexpr JsonKey kMode{"mode"};
+constexpr JsonKey kName{"name"};
+constexpr JsonKey kNewDnsQuery{"newDnsQuery"};
+constexpr JsonKey kNewTlsConnection{"newTlsConnection"};
+constexpr JsonKey kOnLoad{"onLoad"};
+constexpr JsonKey kOrigin{"_origin"};
+constexpr JsonKey kPageTimings{"pageTimings"};
+constexpr JsonKey kPages{"pages"};
+constexpr JsonKey kReceive{"receive"};
+constexpr JsonKey kRequest{"request"};
+constexpr JsonKey kResourceIndex{"resourceIndex"};
+constexpr JsonKey kResponse{"response"};
+constexpr JsonKey kSend{"send"};
+constexpr JsonKey kServerAddress{"serverAddress"};
+constexpr JsonKey kServerIpAddress{"serverIPAddress"};
+constexpr JsonKey kSpeculativeDuplicate{"speculativeDuplicate"};
+constexpr JsonKey kSsl{"ssl"};
+constexpr JsonKey kStartedDateTime{"startedDateTime"};
+constexpr JsonKey kStatus{"status"};
+constexpr JsonKey kSuccess{"_success"};
+constexpr JsonKey kTime{"time"};
+constexpr JsonKey kTimings{"timings"};
+constexpr JsonKey kTitle{"title"};
+constexpr JsonKey kTrancoRank{"_trancoRank"};
+constexpr JsonKey kUrl{"url"};
+constexpr JsonKey kVersion{"version"};
+constexpr JsonKey kWait{"wait"};
+
 // Members are written in alphabetical key order at every level (the order
 // a parsed Json::Object dumps in), which is what keeps the digest of the
 // exported text unchanged from the tree-building exporter it replaced.
 void write_timings(const PhaseTimings& timings, JsonWriter& w) {
   w.begin_object();
-  w.key("blocked").millis_value(timings.blocked.count_micros());
-  w.key("connect").millis_value(timings.connect.count_micros());
-  w.key("dns").millis_value(timings.dns.count_micros());
-  w.key("receive").millis_value(timings.receive.count_micros());
-  w.key("send").millis_value(timings.send.count_micros());
-  w.key("ssl").millis_value(timings.ssl.count_micros());
-  w.key("wait").millis_value(timings.wait.count_micros());
+  w.key(kBlocked).millis_value(timings.blocked.count_micros());
+  w.key(kConnect).millis_value(timings.connect.count_micros());
+  w.key(kDns).millis_value(timings.dns.count_micros());
+  w.key(kReceive).millis_value(timings.receive.count_micros());
+  w.key(kSend).millis_value(timings.send.count_micros());
+  w.key(kSsl).millis_value(timings.ssl.count_micros());
+  w.key(kWait).millis_value(timings.wait.count_micros());
   w.end_object();
 }
 
@@ -69,49 +119,83 @@ void write_entry(const HarEntry& entry, JsonWriter& w) {
   w.begin_object();
   // Reproduction-specific fields travel in an extension block, as HAR
   // custom fields conventionally do (leading underscore).
-  w.key("_origin").begin_object();
-  w.key("addressV6").bool_value(entry.server_address.family ==
-                                dns::Family::kV6);
-  w.key("addressValue")
+  w.key(kOrigin).begin_object();
+  w.key(kAddressV6).bool_value(entry.server_address.family ==
+                               dns::Family::kV6);
+  w.key(kAddressValue)
       .int_value(static_cast<std::int64_t>(entry.server_address.value));
-  w.key("asn").int_value(entry.asn);
-  w.key("certIssuer").string_value(entry.cert_issuer);
-  w.key("certSanCount").int_value(entry.cert_san_count);
-  w.key("certSerial").int_value(static_cast<std::int64_t>(entry.cert_serial));
-  w.key("connectionId")
+  w.key(kAsn).int_value(entry.asn);
+  w.key(kCertIssuer).string_value(entry.cert_issuer);
+  w.key(kCertSanCount).int_value(entry.cert_san_count);
+  w.key(kCertSerial).int_value(static_cast<std::int64_t>(entry.cert_serial));
+  w.key(kConnectionId)
       .int_value(static_cast<std::int64_t>(entry.connection_id));
-  w.key("dnsAnswerSet").begin_array();
+  w.key(kDnsAnswerSet).begin_array();
   for (const auto& answer : entry.dns_answer_set) {
     w.int_value(static_cast<std::int64_t>(answer.value));
   }
   w.end_array();
-  w.key("mode").string_value(request_mode_name(entry.mode));
-  w.key("newDnsQuery").bool_value(entry.new_dns_query);
-  w.key("newTlsConnection").bool_value(entry.new_tls_connection);
-  w.key("resourceIndex").int_value(entry.resource_index);
-  w.key("serverAddress").string_value(address);
-  w.key("speculativeDuplicate").bool_value(entry.speculative_duplicate);
+  w.key(kMode).string_value(request_mode_name(entry.mode));
+  w.key(kNewDnsQuery).bool_value(entry.new_dns_query);
+  w.key(kNewTlsConnection).bool_value(entry.new_tls_connection);
+  w.key(kResourceIndex).int_value(entry.resource_index);
+  w.key(kServerAddress).string_value(address);
+  w.key(kSpeculativeDuplicate).bool_value(entry.speculative_duplicate);
   w.end_object();
 
-  w.key("request").begin_object();
-  w.key("httpVersion").string_value(http_version_name(entry.version));
-  w.key("method").string_value("GET");
-  w.key("url").string_value(
+  w.key(kRequest).begin_object();
+  w.key(kHttpVersion).string_value(http_version_name(entry.version));
+  w.key(kMethod).string_value("GET");
+  w.key(kUrl).string_value(
       {entry.secure ? "https://" : "http://", entry.hostname, "/"});
   w.end_object();
 
-  w.key("response").begin_object();
-  w.key("content").begin_object();
-  w.key("mimeType").string_value(content_type_name(entry.content_type));
+  w.key(kResponse).begin_object();
+  w.key(kContent).begin_object();
+  w.key(kMimeType).string_value(content_type_name(entry.content_type));
   w.end_object();
-  w.key("status").int_value(entry.status_421 ? 421 : 200);
+  w.key(kStatus).int_value(entry.status_421 ? 421 : 200);
   w.end_object();
 
-  w.key("serverIPAddress").string_value(address);
-  w.key("startedDateTime").millis_value(entry.start.micros());
-  w.key("time").millis_value(entry.timings.total().count_micros());
-  w.key("timings");
+  w.key(kServerIpAddress).string_value(address);
+  w.key(kStartedDateTime).millis_value(entry.start.micros());
+  w.key(kTime).millis_value(entry.timings.total().count_micros());
+  w.key(kTimings);
   write_timings(entry.timings, w);
+  w.end_object();
+}
+
+void write_page(const PageLoad& load, JsonWriter& w) {
+  w.begin_object();
+  w.key(kLog).begin_object();
+
+  w.key(kCreator).begin_object();
+  w.key(kName).string_value("respect-the-origin-repro");
+  w.key(kVersion).string_value("1.0");
+  w.end_object();
+
+  w.key(kEntries).begin_array();
+  for (const HarEntry& entry : load.entries) write_entry(entry, w);
+  w.end_array();
+
+  w.key(kPages).begin_array();
+  w.begin_object();
+  w.key(kExtraDnsQueries)
+      .int_value(static_cast<std::int64_t>(load.extra_dns_queries));
+  w.key(kExtraTlsConnections)
+      .int_value(static_cast<std::int64_t>(load.extra_tls_connections));
+  w.key(kSuccess).bool_value(load.success);
+  w.key(kTrancoRank).int_value(static_cast<std::int64_t>(load.tranco_rank));
+  w.key(kId).string_value(load.base_hostname);
+  w.key(kPageTimings).begin_object();
+  w.key(kOnLoad).millis_value(load.page_load_time().count_micros());
+  w.end_object();
+  w.key(kTitle).string_value({"https://", load.base_hostname, "/"});
+  w.end_object();
+  w.end_array();
+
+  w.key(kVersion).string_value("1.2");
+  w.end_object();
   w.end_object();
 }
 
@@ -119,37 +203,7 @@ void write_entry(const HarEntry& entry, JsonWriter& w) {
 
 void write_har(const PageLoad& load, int indent, std::string* out) {
   JsonWriter w(out, indent);
-  w.begin_object();
-  w.key("log").begin_object();
-
-  w.key("creator").begin_object();
-  w.key("name").string_value("respect-the-origin-repro");
-  w.key("version").string_value("1.0");
-  w.end_object();
-
-  w.key("entries").begin_array();
-  for (const HarEntry& entry : load.entries) write_entry(entry, w);
-  w.end_array();
-
-  w.key("pages").begin_array();
-  w.begin_object();
-  w.key("_extraDnsQueries")
-      .int_value(static_cast<std::int64_t>(load.extra_dns_queries));
-  w.key("_extraTlsConnections")
-      .int_value(static_cast<std::int64_t>(load.extra_tls_connections));
-  w.key("_success").bool_value(load.success);
-  w.key("_trancoRank").int_value(static_cast<std::int64_t>(load.tranco_rank));
-  w.key("id").string_value(load.base_hostname);
-  w.key("pageTimings").begin_object();
-  w.key("onLoad").millis_value(load.page_load_time().count_micros());
-  w.end_object();
-  w.key("title").string_value({"https://", load.base_hostname, "/"});
-  w.end_object();
-  w.end_array();
-
-  w.key("version").string_value("1.2");
-  w.end_object();
-  w.end_object();
+  write_page(load, w);
 }
 
 std::string to_har_string(const PageLoad& load, int indent) {
@@ -158,11 +212,11 @@ std::string to_har_string(const PageLoad& load, int indent) {
   return out;
 }
 
-std::uint64_t har_digest(const PageLoad& load, std::uint64_t seed,
-                         std::string* scratch) {
-  scratch->clear();
-  write_har(load, 2, scratch);
-  return origin::util::fnv1a64(*scratch, seed);
+std::uint64_t har_digest(const PageLoad& load, std::uint64_t seed) {
+  std::uint64_t digest = seed;
+  JsonWriter w(&digest, 2);
+  write_page(load, w);
+  return digest;
 }
 
 // Every field access below must be total: a HAR document is external input

@@ -27,10 +27,10 @@ void write_har(const PageLoad& load, int indent, std::string* out);
 std::string to_har_string(const PageLoad& load, int indent = 2);
 
 // The corpus fingerprint of one page: FNV-1a-64 over to_har_string(load)
-// (indent 2), chained from `seed`. `scratch` holds the text between calls,
-// so a caller that keeps it warm pays no allocation per page.
-std::uint64_t har_digest(const PageLoad& load, std::uint64_t seed,
-                         std::string* scratch);
+// (indent 2), chained from `seed`. The layout code behind write_har
+// drives JsonWriter's hash output, so the text is folded into the state as
+// it is written and never rendered; the digest allocates nothing.
+std::uint64_t har_digest(const PageLoad& load, std::uint64_t seed);
 
 // Parses a HAR document produced by write_har back into a PageLoad.
 [[nodiscard]] origin::util::Result<PageLoad> from_har_json(const origin::util::Json& har);

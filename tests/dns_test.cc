@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "dataset/corpus.h"
 #include "dns/record.h"
 #include "dns/resolver.h"
 #include "dns/zone.h"
@@ -97,6 +102,74 @@ TEST(AuthoritativeDnsTest, LongestSuffixZoneWins) {
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].address, IpAddress::v4(2));
   EXPECT_EQ(dns.query_count(), 1u);
+
+  dns.add_zone("a.b.cdn.example.com");
+  const auto apex_for = [&](const std::string& name) -> std::string {
+    const Zone* zone = dns.find_zone_for(name);
+    return zone == nullptr ? "(none)" : zone->apex();
+  };
+  // An exact apex is its own zone, nested zones included.
+  EXPECT_EQ(apex_for("example.com"), "example.com");
+  EXPECT_EQ(apex_for("cdn.example.com"), "cdn.example.com");
+  EXPECT_EQ(apex_for("a.b.cdn.example.com"), "a.b.cdn.example.com");
+  // A name takes the deepest zone above it.
+  EXPECT_EQ(apex_for("img.example.com"), "example.com");
+  EXPECT_EQ(apex_for("b.cdn.example.com"), "cdn.example.com");
+  EXPECT_EQ(apex_for("x.a.b.cdn.example.com"), "a.b.cdn.example.com");
+  // Ending with an apex's text is not enough: the match is label-aligned.
+  EXPECT_EQ(apex_for("notexample.com"), "(none)");
+  EXPECT_EQ(apex_for("img.notcdn.example.com"), "example.com");
+  // No zone, and a trailing dot (no zone is written with one).
+  EXPECT_EQ(apex_for("example.net"), "(none)");
+  EXPECT_EQ(apex_for("com"), "(none)");
+  EXPECT_EQ(apex_for(""), "(none)");
+  EXPECT_EQ(apex_for("img.cdn.example.com."), "(none)");
+  EXPECT_EQ(apex_for("example.com."), "(none)");
+}
+
+// The rule find_zone_for implements, as the plain scan over every zone.
+const Zone* longest_apex_by_scan(const AuthoritativeDns& dns,
+                                 std::string_view name) {
+  const Zone* best = nullptr;
+  for (const auto& [apex, zone] : dns.zones()) {
+    if (zone.authoritative_for(name) &&
+        (best == nullptr || apex.size() > best->apex().size())) {
+      best = &zone;
+    }
+  }
+  return best;
+}
+
+TEST(AuthoritativeDnsTest, SuffixWalkMatchesTheScanOnTheGoldenCorpus) {
+  dataset::CorpusOptions options;
+  options.site_count = 1'000;
+  options.seed = 42;
+  options.threads = 4;
+  dataset::Corpus corpus(options);
+  const AuthoritativeDns& dns = corpus.env().dns();
+  ASSERT_GT(dns.zones().size(), 100u);
+
+  std::vector<std::string> names = {
+      "", ".", "com", "unregistered.invalid", "a..b", ".leading.dot"};
+  for (const auto& [apex, zone] : dns.zones()) {
+    names.push_back(apex);
+    names.push_back("x" + apex);
+  }
+  for (const auto& service : corpus.env().services()) {
+    for (const std::string& hostname : service.served_hostnames) {
+      names.push_back(hostname);
+      names.push_back("deeper." + hostname);
+      names.push_back(hostname + ".");
+      names.push_back("x" + hostname);
+    }
+  }
+  std::size_t found = 0;
+  for (const std::string& name : names) {
+    const Zone* zone = dns.find_zone_for(name);
+    ASSERT_EQ(zone, longest_apex_by_scan(dns, name)) << name;
+    if (zone != nullptr) ++found;
+  }
+  EXPECT_GT(found, names.size() / 2);
 }
 
 TEST(ResolverTest, ResolvesAndCaches) {

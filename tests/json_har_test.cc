@@ -257,6 +257,51 @@ TEST(JsonWriter, DoubleMatchesPrintf) {
   EXPECT_EQ(Json(std::numeric_limits<double>::infinity()).dump(), "null");
 }
 
+// The hash output folds write_har's layout (indent 2, depth <= 6) by
+// table and takes the byte loop for anything else; both must equal FNV
+// over the text output, at any indent and past the folded depth.
+constexpr util::JsonKey kFoldedKey{"folded"};
+
+TEST(JsonWriter, HashOutputIsFnvOfTheTextAtAnyLayout) {
+  const auto document = [](util::JsonWriter& w) {
+    w.begin_object();
+    w.key(kFoldedKey).string_value("");
+    w.key("empty").begin_object();
+    w.end_object();
+    w.key("flags").begin_array();
+    w.bool_value(true);
+    w.bool_value(false);
+    w.null_value();
+    w.end_array();
+    w.key("nested");
+    for (int depth = 0; depth < 9; ++depth) {
+      w.begin_array();
+      w.int_value(-depth);
+      w.begin_object();
+      w.key("k\"\x01").string_value("v\\\n");
+      w.key("ms").millis_value(1'234'567);
+      w.key(kFoldedKey).begin_array();
+      w.end_array();
+      w.end_object();
+    }
+    for (int depth = 0; depth < 9; ++depth) w.end_array();
+    w.key("pi").double_value(3.14159);
+    w.end_object();
+  };
+  for (int indent : {0, 1, 2, 4}) {
+    std::string text;
+    util::JsonWriter text_writer(&text, indent);
+    document(text_writer);
+    for (std::uint64_t seed : {std::uint64_t{0}, util::kFnvOffset,
+                               std::uint64_t{0xfedcba98765432ab}}) {
+      std::uint64_t fnv = seed;
+      util::JsonWriter hash_writer(&fnv, indent);
+      document(hash_writer);
+      EXPECT_EQ(fnv, util::fnv1a64(text, seed)) << "indent " << indent;
+    }
+  }
+}
+
 // --- HAR export: writer == tree formatter, and the corpus digest ---
 
 // The golden corpus: perfbench's corpus-stream configuration.
@@ -400,12 +445,24 @@ TEST(HarDigest, GoldenCorpusDigestsArePinned) {
   EXPECT_EQ(stats->reconstructed_digest, 0xa56c015e4ba3192cULL);
 }
 
+// har_digest folds the text as it is written; it must equal the byte loop
+// over the rendered text. The fold splits the state at its low byte, so
+// every page is checked at seeds covering all 256 low bytes, each under
+// random high bits.
 TEST(HarDigest, IsFnvChainedOverTheIndentedText) {
-  std::string scratch = "stale text from an earlier page";
-  for (const web::PageLoad& page : edge_pages()) {
-    EXPECT_EQ(web::har_digest(page, 17, &scratch),
-              util::fnv1a64(web::to_har_string(page), 17));
-    EXPECT_EQ(scratch, web::to_har_string(page));
+  std::vector<web::PageLoad> pages = edge_pages();
+  const std::vector<web::PageLoad> golden = golden_pages();
+  for (std::size_t i = 0; i < golden.size(); i += 37) {
+    pages.push_back(golden[i]);
+  }
+  std::mt19937_64 rng(17);
+  for (const web::PageLoad& page : pages) {
+    const std::string text = web::to_har_string(page);
+    for (std::uint64_t low = 0; low < 256; ++low) {
+      const std::uint64_t seed = (rng() & ~std::uint64_t{0xff}) | low;
+      ASSERT_EQ(web::har_digest(page, seed), util::fnv1a64(text, seed))
+          << page.base_hostname << " at seed " << seed;
+    }
   }
 }
 
@@ -415,8 +472,7 @@ TEST(HarDigest, IsFnvChainedOverTheIndentedText) {
 // generated corpora never put a v6 address in an answer set.
 TEST(HarDigest, EveryExportedFieldChangesTheDigest) {
   web::PageLoad base = edge_pages()[1];
-  std::string scratch;
-  const std::uint64_t reference = web::har_digest(base, 0, &scratch);
+  const std::uint64_t reference = web::har_digest(base, 0);
   using Mutation = std::function<void(web::PageLoad&)>;
   auto entry = [](std::function<void(web::HarEntry&)> edit) -> Mutation {
     return [edit](web::PageLoad& page) { edit(page.entries.front()); };
@@ -493,7 +549,7 @@ TEST(HarDigest, EveryExportedFieldChangesTheDigest) {
   for (const auto& [name, mutate] : mutations) {
     web::PageLoad changed = base;
     mutate(changed);
-    EXPECT_NE(web::har_digest(changed, 0, &scratch), reference) << name;
+    EXPECT_NE(web::har_digest(changed, 0), reference) << name;
   }
 }
 

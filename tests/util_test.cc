@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/bytes.h"
 #include "util/fnv.h"
@@ -251,6 +254,67 @@ TEST(Fnv, KnownValueAndMixing) {
   EXPECT_EQ(fnv1a64(""), kFnvOffset);
   EXPECT_NE(fnv1a64("a"), fnv1a64("b"));
   EXPECT_NE(fnv1a64_mix(1, 2), fnv1a64_mix(2, 1));
+}
+
+static_assert(FnvRun("\n  \"key\": ").apply(kFnvOffset) ==
+              fnv1a64("\n  \"key\": "));
+
+std::string random_bytes(std::mt19937_64& rng, std::size_t size) {
+  std::string bytes(size, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng());
+  return bytes;
+}
+
+// Every low byte, bare and under random high bits, plus the offset basis:
+// apply() splits the state at the low byte, so each table row and the
+// multiplied high part are both exercised.
+std::vector<std::uint64_t> fnv_seeds(std::mt19937_64& rng) {
+  std::vector<std::uint64_t> seeds = {kFnvOffset};
+  for (std::uint64_t low = 0; low < 256; ++low) {
+    seeds.push_back(low);
+    seeds.push_back((rng() & ~std::uint64_t{0xff}) | low);
+  }
+  return seeds;
+}
+
+TEST(Fnv, RunFoldsLikeTheByteLoop) {
+  std::mt19937_64 rng(11);
+  const std::vector<std::uint64_t> seeds = fnv_seeds(rng);
+  std::vector<std::string> texts = {""};
+  for (int byte = 0; byte < 256; ++byte) {
+    texts.emplace_back(1, static_cast<char>(byte));
+  }
+  for (int i = 0; i < 200; ++i) {
+    texts.push_back(random_bytes(rng, 1 + rng() % 64));
+  }
+  std::size_t mismatches = 0;
+  for (const std::string& text : texts) {
+    const FnvRun run(text);
+    for (std::uint64_t seed : seeds) {
+      if (run.apply(seed) != fnv1a64(text, seed) && ++mismatches <= 5) {
+        ADD_FAILURE() << "text of " << text.size() << " bytes, seed "
+                      << seed;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Fnv, RunsCompose) {
+  std::mt19937_64 rng(12);
+  const std::vector<std::uint64_t> seeds = fnv_seeds(rng);
+  for (int i = 0; i < 32; ++i) {
+    const std::string a = random_bytes(rng, rng() % 33);
+    const std::string b = random_bytes(rng, rng() % 33);
+    const FnvRun run_a(a);
+    const FnvRun run_b(b);
+    const FnvRun run_ab(a + b);
+    const FnvRun parts({a, b});
+    for (std::uint64_t seed : seeds) {
+      ASSERT_EQ(run_b.apply(run_a.apply(seed)), run_ab.apply(seed));
+      ASSERT_EQ(parts.apply(seed), run_ab.apply(seed));
+    }
+  }
 }
 
 TEST(SimTime, Arithmetic) {
