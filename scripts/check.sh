@@ -38,10 +38,12 @@
 #      sweep, journal tail truncation, quarantine + rebuild) runs with the
 #      allocator instrumented
 #   9. UBSan preset build + full ctest
-#  10. TSan preset build + the concurrency suites (thread pool stress +
-#      pipeline determinism + fault-schedule determinism + the overload
-#      ledger 1-vs-8-thread determinism checks) with ORIGIN_THREADS=8, so
-#      every shard path runs contended under the race detector
+#  10. TSan preset build + the concurrency suites (thread pool and lane
+#      stress + pipeline determinism + fault-schedule determinism + the
+#      overload ledger 1-vs-8-thread determinism checks + the kill–resume
+#      matrix, whose analyze kills at 8 threads return with both digest
+#      lanes in flight) with ORIGIN_THREADS=8, so every shard path and the
+#      lanes' error path run contended under the race detector
 #  11. perf: Release build of the perf + ablation benches; each makes its
 #      in-run checks, gates one metric against its committed BENCH_*.json
 #      at the repo root (the gate table in bench/report.h), refreshes that
@@ -125,7 +127,7 @@ echo "==> [10/11] ThreadSanitizer preset (concurrency suites, 8 threads)"
 cmake -B build-tsan -S . -DORIGIN_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS"
 ORIGIN_THREADS=8 ctest --test-dir build-tsan --output-on-failure \
-  -R 'ThreadPool|PipelineDeterminism|FaultDeterminism|BitIdenticalAcrossThreadCounts'
+  -R 'ThreadPool|PipelineDeterminism|FaultDeterminism|BitIdenticalAcrossThreadCounts|CrashResumeTest.KillResumeMatrixIsBitIdentical'
 
 echo "==> [11/11] perf gates (Release benches, repo-root BENCH_*.json)"
 cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release

@@ -58,6 +58,9 @@ std::size_t sweep_shard_files(const std::string& dir) {
 }
 
 // Shared per-page aggregation between the streamed and materialized paths.
+// The three folds write disjoint StreamStats fields, so analyze() gives the
+// measured and reconstructed folds an Aggregator each, one per lane, and
+// takes their fields with take_lanes() once both lanes are joined.
 struct Aggregator {
   StreamStats stats;
 
@@ -83,6 +86,20 @@ struct Aggregator {
     stats.reconstructed_plt_us += load.page_load_time().count_micros();
     stats.reconstructed_digest =
         web::har_digest(load, stats.reconstructed_digest);
+  }
+
+  void take_lanes(const Aggregator& measured_lane,
+                  const Aggregator& reconstructed_lane) {
+    const StreamStats& m = measured_lane.stats;
+    stats.pages = m.pages;
+    stats.entries = m.entries;
+    stats.measured_dns = m.measured_dns;
+    stats.measured_tls = m.measured_tls;
+    stats.measured_validations = m.measured_validations;
+    stats.measured_plt_us = m.measured_plt_us;
+    stats.measured_digest = m.measured_digest;
+    stats.reconstructed_plt_us = reconstructed_lane.stats.reconstructed_plt_us;
+    stats.reconstructed_digest = reconstructed_lane.stats.reconstructed_digest;
   }
 };
 
@@ -390,8 +407,8 @@ util::Status StreamingCorpus::prepare_spill_dir(
   return util::Status::ok_status();
 }
 
-util::Result<util::Bytes> StreamingCorpus::build_shard(ShardInfo& info,
-                                                       util::ThreadPool& pool) {
+util::Result<StreamingCorpus::EncodedShard> StreamingCorpus::build_shard(
+    ShardInfo& info, util::ThreadPool& pool) {
   const std::size_t count = shard_site_count(info.first_site);
 
   // Parallel load: per-site seeds and connection-id blocks come from the
@@ -415,12 +432,14 @@ util::Result<util::Bytes> StreamingCorpus::build_shard(ShardInfo& info,
 
   info.pages = columns_.page_count();
   info.entries = columns_.entry_count();
-  util::Bytes encoded = encode_snapshot(columns_);
+  EncodedShard encoded;
+  encoded.bytes = encode_snapshot(columns_, &encoded.payload_crc64);
   if (util::crash::crash_point("generate.encode")) {
     return util::make_error("corpus: crash injected at generate.encode");
   }
-  info.encoded_bytes = encoded.size();
-  info.content_crc64 = util::crc64(encoded);
+  info.encoded_bytes = encoded.bytes.size();
+  info.content_crc64 =
+      snapshot_content_crc64(encoded.bytes, encoded.payload_crc64);
   return encoded;
 }
 
@@ -491,9 +510,9 @@ util::Status StreamingCorpus::generate() {
     auto encoded = build_shard(info, pool);
     if (!encoded.ok()) return encoded.error();
     if (!spilling) {
-      info.buffer = std::move(encoded).value();
+      info.buffer = std::move(encoded).value().bytes;
     } else {
-      auto committed = commit_shard(info, encoded.value());
+      auto committed = commit_shard(info, encoded->bytes);
       if (!committed.ok()) return committed;
     }
     shards_.push_back(std::move(info));
@@ -502,11 +521,18 @@ util::Status StreamingCorpus::generate() {
   return util::Status::ok_status();
 }
 
-util::Result<util::Bytes> StreamingCorpus::load_or_recover_shard(
-    ShardInfo& shard, util::ThreadPool& pool) {
+util::Result<StreamingCorpus::EncodedShard>
+StreamingCorpus::load_or_recover_shard(ShardInfo& shard,
+                                       util::ThreadPool& pool) {
   auto read = read_shard_file(shard.path);
-  if (read.ok() && util::crc64(read.value()) == shard.content_crc64) {
-    return std::move(read).value();
+  if (read.ok()) {
+    // One pass over the payload: the whole-file CRC the journal holds is
+    // the footer folded onto it, and open() checks the footer against it.
+    const std::uint64_t payload_crc64 = snapshot_payload_crc64(read.value());
+    if (snapshot_content_crc64(read.value(), payload_crc64) ==
+        shard.content_crc64) {
+      return EncodedShard{std::move(read).value(), payload_crc64};
+    }
   }
   // The journaled CRC does not match the bytes on disk (bit rot, a flipped
   // byte, a foreign file under the right name) — or the file vanished.
@@ -520,7 +546,7 @@ util::Result<util::Bytes> StreamingCorpus::load_or_recover_shard(
   }
   auto rebuilt = build_shard(shard, pool);
   if (!rebuilt.ok()) return rebuilt.error();
-  auto committed = commit_shard(shard, rebuilt.value());
+  auto committed = commit_shard(shard, rebuilt->bytes);
   if (!committed.ok()) return committed.error();
   return std::move(rebuilt).value();
 }
@@ -540,48 +566,86 @@ util::Result<StreamStats> StreamingCorpus::analyze() {
   model::CoalescingModel model(corpus_.env());
   util::ThreadPool pool(options_.threads);
 
+  // The two digest chains fold on two lanes, each from one buffer into its
+  // own Aggregator: the measured lane folds shard k's decoded pages while
+  // this thread runs the model and the observer over them; the
+  // reconstructed lane folds shard k's reconstructed pages while this
+  // thread reads, checks, opens and decodes shard k+1. A buffer is
+  // rewritten only after its lane is joined, so each chain keeps site
+  // order and one shard stays resident. The lanes are declared after what
+  // they read, so on an exception their destructors join first.
   std::vector<web::PageLoad> pages;
-  for (ShardInfo& shard : shards_) {
-    util::Bytes file_bytes;
-    std::span<const std::uint8_t> bytes;
-    if (!shard.path.empty()) {
-      auto loaded = load_or_recover_shard(shard, pool);
-      if (!loaded.ok()) return loaded.error();
-      file_bytes = std::move(loaded).value();
-      bytes = file_bytes;
-    } else {
-      bytes = shard.buffer;
+  std::vector<web::PageLoad> reconstructed;
+  Aggregator measured_agg;
+  Aggregator reconstructed_agg;
+  util::Lane measured_lane(options_.threads);
+  util::Lane reconstructed_lane(options_.threads);
+
+  auto sweep = [&]() -> util::Status {
+    for (ShardInfo& shard : shards_) {
+      {
+        EncodedShard spilled;
+        if (!shard.path.empty()) {
+          auto loaded = load_or_recover_shard(shard, pool);
+          if (!loaded.ok()) return loaded.error();
+          spilled = std::move(loaded).value();
+        }
+        const std::span<const std::uint8_t> bytes =
+            shard.path.empty() ? std::span<const std::uint8_t>(shard.buffer)
+                               : std::span<const std::uint8_t>(spilled.bytes);
+        agg.stats.snapshot_bytes += bytes.size();
+
+        // A spilled shard's payload CRC was computed once, for the journal
+        // check; an in-memory shard has only the footer check.
+        auto reader = shard.path.empty()
+                          ? SnapshotReader::open(bytes)
+                          : SnapshotReader::open(bytes, spilled.payload_crc64);
+        if (!reader.ok()) return reader.error();
+        const std::size_t page_count =
+            static_cast<std::size_t>(reader->meta().pages);
+
+        measured_lane.wait();
+        pages.assign(page_count, web::PageLoad{});
+        for (std::size_t i = 0; i < page_count; ++i) {
+          reader.value().next_page(&pages[i]);
+        }
+      }
+      measured_lane.run([&] {
+        for (const web::PageLoad& page : pages) measured_agg.measured(page);
+      });
+
+      const auto analyses = model.analyze_batch(pages, options_.threads);
+      for (const model::PageAnalysis& analysis : analyses) {
+        agg.analyzed(analysis);
+      }
+
+      if (options_.observer != nullptr) {
+        options_.observer->on_shard(pages, shard.first_site);
+      }
+
+      reconstructed_lane.wait();
+      reconstructed = {};  // free shard k-1's pages before building shard k's
+      reconstructed =
+          model.reconstruct_batch(pages, analyses, "", options_.threads);
+      reconstructed_lane.run([&] {
+        for (const web::PageLoad& page : reconstructed) {
+          reconstructed_agg.reconstructed(page);
+        }
+      });
+
+      if (util::crash::crash_point("analyze.shard")) {
+        return util::make_error("corpus: crash injected at analyze.shard");
+      }
     }
-    agg.stats.snapshot_bytes += bytes.size();
-
-    auto reader = SnapshotReader::open(bytes);
-    if (!reader.ok()) return reader.error();
-    const std::size_t page_count =
-        static_cast<std::size_t>(reader->meta().pages);
-
-    pages.assign(page_count, web::PageLoad{});
-    for (std::size_t i = 0; i < page_count; ++i) {
-      reader.value().next_page(&pages[i]);
-    }
-    for (const web::PageLoad& page : pages) agg.measured(page);
-
-    const auto analyses = model.analyze_batch(pages, options_.threads);
-    for (const model::PageAnalysis& analysis : analyses) {
-      agg.analyzed(analysis);
-    }
-
-    if (options_.observer != nullptr) {
-      options_.observer->on_shard(pages, shard.first_site);
-    }
-
-    const auto reconstructed =
-        model.reconstruct_batch(pages, analyses, "", options_.threads);
-    for (const web::PageLoad& page : reconstructed) agg.reconstructed(page);
-
-    if (util::crash::crash_point("analyze.shard")) {
-      return util::make_error("corpus: crash injected at analyze.shard");
-    }
-  }
+    return util::Status::ok_status();
+  };
+  const util::Status swept = sweep();
+  // Every path joins both lanes here, and a fold's exception reaches the
+  // caller ahead of any sweep error.
+  measured_lane.wait();
+  reconstructed_lane.wait();
+  if (!swept.ok()) return swept.error();
+  agg.take_lanes(measured_agg, reconstructed_agg);
 
   // Deletion is deferred to here: until the whole sweep has succeeded the
   // spilled shards and the journal ARE the resume state. Only a complete

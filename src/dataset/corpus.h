@@ -18,8 +18,12 @@
 // the site index alone (loader_options_for_site, shared with the
 // materialized collector), shards are analyzed in index order with the
 // model's serial intern prepass per batch, and shard observers run
-// serially in site order — so streamed outputs are byte-identical to the
-// fully materialized path at any thread count and any shard size.
+// serially in site order on the analyze thread. The measured and the
+// reconstructed digest chains each fold on a background lane (util::Lane)
+// that takes one shard at a time in site order from a single buffer, so
+// both chains equal the serial ones and one shard stays resident — and
+// streamed outputs are byte-identical to the fully materialized path at
+// any thread count and any shard size.
 //
 // Crash consistency (DESIGN.md §15): with a spill directory the pipeline
 // is resumable. Every spilled shard is committed by durable rename
@@ -85,7 +89,8 @@ class TimelineColumns {
   std::string_view symbol(std::uint32_t id) const { return symbol_names_[id]; }
 
  private:
-  friend util::Bytes encode_snapshot(const TimelineColumns& columns);
+  friend util::Bytes encode_snapshot(const TimelineColumns& columns,
+                                     std::uint64_t* payload_crc64);
 
   // The ORIGIN_HOT numeric row appends; symbol interning stays in the
   // (cold, allocating) append_page wrapper.
@@ -144,7 +149,8 @@ class TimelineColumns {
 // --- streaming pipeline ---------------------------------------------------
 
 // Serial per-shard hook: analyze() calls on_shard() once per shard, in
-// shard (site) order, right after the shard's pages are decoded. This is
+// shard (site) order, on its own thread, right after the shard's pages are
+// decoded (the digest lanes only read the same pages). This is
 // how layer-4 siblings ride the streamed replay without dataset depending
 // on them — measure's passive pipeline plugs in via
 // measure::PassiveShardObserver (measure/stream.h).
@@ -166,8 +172,10 @@ struct StreamingOptions {
   // (shard_count != 0 wins and divides the eligible sites evenly).
   std::size_t sites_per_shard = 4'096;
   std::size_t shard_count = 0;
-  // Worker threads for the per-shard load and model batches (0 resolves via
-  // ORIGIN_THREADS; 1 = serial fallback). Any value is bit-identical.
+  // Worker threads for the per-shard load and model batches; above 1,
+  // analyze() also folds the two digest chains on two background lanes.
+  // 0 resolves via ORIGIN_THREADS; 1 = serial fallback, with no thread
+  // beyond the caller's. Any value is bit-identical.
   std::size_t threads = 1;
   // Load at most this many eligible sites; 0 = all.
   std::size_t max_sites = 0;
@@ -271,17 +279,24 @@ class StreamingCorpus {
   // fills `completed` with the last-wins reusable records.
   [[nodiscard]] util::Status prepare_spill_dir(
       util::FlatMap<std::uint64_t, ManifestRecord>* completed);
+  // An encoded snapshot and the CRC of its payload (everything before the
+  // footer), computed once per path: the content CRC and the footer check
+  // both derive from it.
+  struct EncodedShard {
+    util::Bytes bytes;
+    std::uint64_t payload_crc64 = 0;
+  };
   // Loads the shard's site range, encodes it, and fills info's row totals
-  // and content CRC. Returns the encoded snapshot.
-  [[nodiscard]] util::Result<util::Bytes> build_shard(
-      ShardInfo& info, util::ThreadPool& pool);
+  // and content CRC.
+  [[nodiscard]] util::Result<EncodedShard> build_shard(ShardInfo& info,
+                                                       util::ThreadPool& pool);
   // Durably writes the shard file, then journals it (write ordering:
   // rename commits the data, the manifest record commits the fact).
   [[nodiscard]] util::Status commit_shard(ShardInfo& info,
                                           std::span<const std::uint8_t> bytes);
   // Reads a spilled shard, verifying its journaled CRC; on mismatch moves
   // the bytes to quarantine and rebuilds the shard from its site range.
-  [[nodiscard]] util::Result<util::Bytes> load_or_recover_shard(
+  [[nodiscard]] util::Result<EncodedShard> load_or_recover_shard(
       ShardInfo& shard, util::ThreadPool& pool);
 
   Corpus& corpus_;

@@ -1,5 +1,6 @@
 #include "dataset/snapshot.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
@@ -148,6 +149,12 @@ util::Error snapshot_error(const char* what) {
 }  // namespace
 
 util::Bytes encode_snapshot(const TimelineColumns& columns) {
+  std::uint64_t payload_crc64 = 0;
+  return encode_snapshot(columns, &payload_crc64);
+}
+
+util::Bytes encode_snapshot(const TimelineColumns& columns,
+                            std::uint64_t* payload_crc64) {
   const ShardMeta meta = columns.meta();
   util::ByteWriter writer(64 + static_cast<std::size_t>(meta.symbols) * 24 +
                           static_cast<std::size_t>(meta.entries) * 128 +
@@ -203,15 +210,31 @@ util::Bytes encode_snapshot(const TimelineColumns& columns) {
   write_column(writer, kPageExtraTls, columns.page_extra_tls_);
   // Integrity footer: CRC-64/XZ over every byte written so far. Appended
   // last so the file's own tail proves the whole payload intact.
-  const std::uint64_t crc = util::crc64(writer.bytes());
+  *payload_crc64 = util::crc64(writer.bytes());
   writer.raw(std::string_view(kSnapshotFooterMagic,
                               sizeof(kSnapshotFooterMagic)));
-  writer.u64(crc);
+  writer.u64(*payload_crc64);
   return writer.take();
+}
+
+std::uint64_t snapshot_payload_crc64(std::span<const std::uint8_t> bytes) {
+  return util::crc64(
+      bytes.first(bytes.size() - std::min(bytes.size(), kSnapshotFooterBytes)));
+}
+
+std::uint64_t snapshot_content_crc64(std::span<const std::uint8_t> bytes,
+                                     std::uint64_t payload_crc64) {
+  return util::crc64(
+      bytes.last(std::min(bytes.size(), kSnapshotFooterBytes)), payload_crc64);
 }
 
 util::Result<SnapshotReader> SnapshotReader::open(
     std::span<const std::uint8_t> bytes) {
+  return open(bytes, snapshot_payload_crc64(bytes));
+}
+
+util::Result<SnapshotReader> SnapshotReader::open(
+    std::span<const std::uint8_t> bytes, std::uint64_t payload_crc64) {
   if (std::endian::native != std::endian::little) {
     return snapshot_error("big-endian hosts are not supported");
   }
@@ -230,7 +253,7 @@ util::Result<SnapshotReader> SnapshotReader::open(
     return snapshot_error("bad footer magic (torn or trailing bytes)");
   }
   util::ByteReader footer_reader(footer.subspan(sizeof(kSnapshotFooterMagic)));
-  if (footer_reader.u64() != util::crc64(payload)) {
+  if (footer_reader.u64() != payload_crc64) {
     return snapshot_error("checksum mismatch (torn or corrupt shard)");
   }
   util::ByteReader reader(payload);

@@ -64,6 +64,22 @@ inline constexpr std::uint8_t kSnapshotFlagMask = 0x1F;
 // first-appearance (id) order and columns in fixed tag order, so
 // encode(decode(encode(x))) == encode(x).
 util::Bytes encode_snapshot(const TimelineColumns& columns);
+// The same bytes; also stores the payload CRC the footer holds in
+// *payload_crc64, so the caller need not hash the buffer again.
+util::Bytes encode_snapshot(const TimelineColumns& columns,
+                            std::uint64_t* payload_crc64);
+
+// CRC-64/XZ of the payload, every byte before the footer: the value a
+// valid footer holds. Total; bytes shorter than a footer have an empty
+// payload.
+std::uint64_t snapshot_payload_crc64(std::span<const std::uint8_t> bytes);
+
+// util::crc64(bytes), the whole-file CRC a shard is journaled under
+// (ShardInfo::content_crc64), from its payload CRC. CRC-64 chains
+// (crc64(b, crc64(a)) == crc64(a + b)), so only the footer bytes are
+// folded on and each path hashes the payload once.
+std::uint64_t snapshot_content_crc64(std::span<const std::uint8_t> bytes,
+                                     std::uint64_t payload_crc64);
 
 // Streaming decoder over an encoded snapshot. Non-owning: `bytes` must
 // outlive the reader (shard buffers / mapped files stay alive for exactly
@@ -72,6 +88,10 @@ class SnapshotReader {
  public:
   [[nodiscard]] static util::Result<SnapshotReader> open(
       std::span<const std::uint8_t> bytes);
+  // As open(bytes), but the footer is checked against `payload_crc64`, the
+  // caller's snapshot_payload_crc64(bytes), instead of a second pass.
+  [[nodiscard]] static util::Result<SnapshotReader> open(
+      std::span<const std::uint8_t> bytes, std::uint64_t payload_crc64);
 
   const ShardMeta& meta() const { return meta_; }
 

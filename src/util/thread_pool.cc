@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
 
 namespace origin::util {
 
@@ -186,6 +187,32 @@ void ThreadPool::run_chunk(const Chunk& chunk) {
   }
   MutexLock lock(&job_mu_);
   if (--outstanding_chunks_ == 0) done_cv_.notify_all();
+}
+
+Lane::Lane(std::size_t threads) : inline_(resolve_thread_count(threads) <= 1) {}
+
+Lane::~Lane() {
+  if (thread_.joinable()) thread_.join();
+}
+
+void Lane::run(std::function<void()> task) {
+  wait();
+  if (inline_) {
+    task();
+    return;
+  }
+  thread_ = std::thread([this, task = std::move(task)] {
+    try {
+      task();
+    } catch (...) {
+      error_ = std::current_exception();
+    }
+  });
+}
+
+void Lane::wait() {
+  if (thread_.joinable()) thread_.join();
+  if (error_ != nullptr) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
 }  // namespace origin::util

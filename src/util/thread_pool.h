@@ -33,6 +33,11 @@
 // A pool of 1 runs bodies inline on the caller with no worker threads — the
 // serial fallback path (ORIGIN_THREADS=1) every determinism gate compares
 // against.
+//
+// Lane, the second primitive, runs one background task at a time in
+// submission order: the pipeline's serial folds (a digest chain that must
+// see pages in site order) overlap the caller's other work without ever
+// running concurrently with themselves. See the class comment.
 #pragma once
 
 #include <condition_variable>
@@ -121,6 +126,38 @@ class ThreadPool {
   // Serializes concurrent parallel_for_index callers: one job at a time
   // owns the worker queues.
   Mutex caller_mu_ ORIGIN_THREAD_ANNOTATION_(acquired_before(job_mu_));
+};
+
+// A background lane with at most one task in flight. run(task) waits for
+// the previous task, then starts `task` on a thread of its own; wait()
+// joins it. Tasks therefore run one after another in submission order, and
+// the join is the only synchronization: whatever a task wrote is visible
+// to the caller after wait() (or the next run()) returns, and the caller
+// must not touch that state, nor write what the task reads, before then.
+//
+// Errors: a task's exception is captured and rethrown once, by the wait()
+// or run() that joins it; the lane stays usable. The destructor joins
+// without rethrowing, so a caller that must not drop a task's error calls
+// wait() on every return path.
+//
+// Thread count: resolved like ThreadPool's. A lane of 1 starts no thread:
+// run() calls the task inline on the caller, and the task's exception
+// leaves run() itself — the serial fallback, in program order. A task runs
+// outside any parallel region, so it may itself call parallel_for_index.
+class Lane {
+ public:
+  explicit Lane(std::size_t threads);
+  ~Lane();
+  Lane(const Lane&) = delete;
+  Lane& operator=(const Lane&) = delete;
+
+  void run(std::function<void()> task);
+  void wait();
+
+ private:
+  bool inline_ = true;
+  std::thread thread_;
+  std::exception_ptr error_;  // written by thread_, read after its join
 };
 
 }  // namespace origin::util

@@ -16,6 +16,7 @@
 #include "dataset/generator.h"
 #include "dataset/snapshot.h"
 #include "measure/stream.h"
+#include "util/hash.h"
 #include "web/har_json.h"
 
 namespace origin {
@@ -198,11 +199,22 @@ TEST(CorpusSnapshot, StreamedBitIdenticalAcrossThreadCounts) {
   auto resharded_stats = resharded.run();
   ASSERT_TRUE(resharded_stats.ok()) << resharded_stats.error().message;
 
+  // One site per shard hands both digest lanes a new task on every page.
+  dataset::StreamingCorpus per_page(corpus, streaming_options(2, 1));
+  auto per_page_stats = per_page.run();
+  ASSERT_TRUE(per_page_stats.ok()) << per_page_stats.error().message;
+
+  dataset::StreamingCorpus four(corpus, streaming_options(4, 137));
+  auto four_stats = four.run();
+  ASSERT_TRUE(four_stats.ok()) << four_stats.error().message;
+
   auto materialized = dataset::run_materialized(corpus, streaming_options(8, 137));
   ASSERT_TRUE(materialized.ok()) << materialized.error().message;
 
   expect_same_results(*serial_stats, *threaded_stats);
   expect_same_results(*serial_stats, *resharded_stats);
+  expect_same_results(*serial_stats, *per_page_stats);
+  expect_same_results(*serial_stats, *four_stats);
   expect_same_results(*serial_stats, *materialized);
   EXPECT_GT(serial_stats->pages, 0u);
   EXPECT_GT(serial_stats->measured_digest, 0u);
@@ -225,6 +237,11 @@ TEST(CorpusSnapshot, SpillToDiskMatchesInMemory) {
     EXPECT_TRUE(shard.buffer.empty());
     EXPECT_TRUE(std::filesystem::exists(shard.path)) << shard.path;
     EXPECT_EQ(std::filesystem::file_size(shard.path), shard.encoded_bytes);
+    // The journaled CRC, derived from the footer's payload CRC, is the
+    // whole file's CRC.
+    auto bytes = dataset::read_shard_file(shard.path);
+    ASSERT_TRUE(bytes.ok()) << bytes.error().message;
+    EXPECT_EQ(shard.content_crc64, util::crc64(*bytes)) << shard.path;
   }
   auto spilled_stats = spilled.analyze();
   ASSERT_TRUE(spilled_stats.ok()) << spilled_stats.error().message;

@@ -198,33 +198,54 @@ TEST_F(CrashResumeTest, ResumeAtEveryShardBoundary) {
 
 // A flipped byte anywhere in a spilled shard is detected by CRC at read
 // time, quarantined, and the shard regenerated — the stream never sees the
-// corrupt bytes and the outputs stay bit-identical.
+// corrupt bytes and the outputs stay bit-identical. The flip lands in the
+// payload, in the footer magic, or in the footer's stored CRC: the whole-
+// file CRC is derived from the payload CRC, and each flip must still fail
+// the journal check.
 TEST_F(CrashResumeTest, FlippedByteIsQuarantinedAndRebuilt) {
   dataset::Corpus corpus(corpus_options());
-  dataset::StreamingCorpus streaming(
-      corpus, streaming_options(dir_, 1, /*resume=*/false));
-  ASSERT_TRUE(streaming.generate().ok());
-
-  // Flip one byte in the middle of the last shard (size unchanged, so the
-  // resume fast path cannot catch it — only the CRC can).
   const std::size_t victim_index = shard_total(corpus) - 1;
   const std::string victim = dataset::shard_file_path(dir_, victim_index);
-  auto bytes = util::read_file(victim);
-  ASSERT_TRUE(bytes.ok());
-  util::Bytes bent = bytes.value();
-  bent[bent.size() / 2] ^= 0x01;
-  ASSERT_TRUE(util::durable_write_file(victim, bent).ok());
 
-  auto stats = streaming.analyze();
-  ASSERT_TRUE(stats.ok()) << stats.error().message;
-  expect_identical(baseline(), *stats);
-  EXPECT_EQ(streaming.recovery().shards_quarantined, 1u);
+  // Offsets from the end of the file: the footer is 4 magic bytes, then
+  // the 8-byte CRC.
+  const struct {
+    const char* where;
+    std::size_t from_end;  // 0 = the middle of the file
+  } kFlips[] = {
+      {"payload middle", 0},
+      {"footer magic", dataset::kSnapshotFooterBytes - 1},
+      {"footer crc", 3},
+  };
+  for (const auto& flip : kFlips) {
+    SCOPED_TRACE(flip.where);
+    std::filesystem::remove_all(dir_);
+    dataset::StreamingCorpus streaming(
+        corpus, streaming_options(dir_, 1, /*resume=*/false));
+    ASSERT_TRUE(streaming.generate().ok());
 
-  // The corrupt bytes were preserved for postmortem, byte for byte.
-  auto quarantined =
-      util::read_file(dataset::quarantine_file_path(dir_, victim_index));
-  ASSERT_TRUE(quarantined.ok()) << quarantined.error().message;
-  EXPECT_EQ(quarantined.value(), bent);
+    // Flip one byte of the last shard (size unchanged, so the resume fast
+    // path cannot catch it — only the CRC can).
+    auto bytes = util::read_file(victim);
+    ASSERT_TRUE(bytes.ok());
+    util::Bytes bent = bytes.value();
+    const std::size_t offset = flip.from_end == 0
+                                   ? bent.size() / 2
+                                   : bent.size() - flip.from_end;
+    bent[offset] ^= 0x01;
+    ASSERT_TRUE(util::durable_write_file(victim, bent).ok());
+
+    auto stats = streaming.analyze();
+    ASSERT_TRUE(stats.ok()) << stats.error().message;
+    expect_identical(baseline(), *stats);
+    EXPECT_EQ(streaming.recovery().shards_quarantined, 1u);
+
+    // The corrupt bytes were preserved for postmortem, byte for byte.
+    auto quarantined =
+        util::read_file(dataset::quarantine_file_path(dir_, victim_index));
+    ASSERT_TRUE(quarantined.ok()) << quarantined.error().message;
+    EXPECT_EQ(quarantined.value(), bent);
+  }
 }
 
 // Same flip, but discovered across a kill–resume: the resumed generate

@@ -1,13 +1,16 @@
 // util::ThreadPool: correctness under contention, exception propagation,
-// and the nested-region guard. Run under the TSan preset
+// and the nested-region guard; util::Lane: inline fallback, ordering,
+// error and join contracts. Run under the TSan preset
 // (-DORIGIN_SANITIZE=thread) these tests double as the data-race gate for
-// the pool itself.
+// both primitives.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -139,6 +142,104 @@ TEST(ThreadPool, NestedRejectionAppliesOnSerialPoolsToo) {
     }
   });
   EXPECT_EQ(nested_rejections, 3);
+}
+
+TEST(ThreadPool, LaneOfOneRunsInlineOnTheCaller) {
+  util::Lane lane(1);
+  std::thread::id ran_on;
+  bool ran = false;
+  lane.run([&] {
+    ran_on = std::this_thread::get_id();
+    ran = true;
+  });
+  EXPECT_TRUE(ran);  // before run() returned, without a wait()
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  // Inline, the task's exception leaves run() itself.
+  EXPECT_THROW(lane.run([] { throw std::runtime_error("inline failure"); }),
+               std::runtime_error);
+  EXPECT_NO_THROW(lane.wait());
+}
+
+TEST(ThreadPool, LaneRunsOnAnotherThreadAndReturnsWhileItIsBlocked) {
+  util::Lane lane(4);
+  std::atomic<bool> release{false};
+  std::atomic<bool> finished{false};
+  std::thread::id ran_on;
+  lane.run([&] {
+    ran_on = std::this_thread::get_id();
+    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
+    finished.store(true, std::memory_order_release);
+  });
+  // run() returned while the task still waits for the flag.
+  EXPECT_FALSE(finished.load(std::memory_order_acquire));
+  release.store(true, std::memory_order_release);
+  lane.wait();
+  EXPECT_TRUE(finished.load(std::memory_order_acquire));
+  EXPECT_NE(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPool, LaneRunWaitsForThePreviousTask) {
+  // Both tasks append to one unsynchronized vector: run() must join the
+  // first before starting the second, even when the first is the slower.
+  util::Lane lane(4);
+  std::vector<int> order;
+  lane.run([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    order.push_back(1);
+  });
+  lane.run([&] { order.push_back(2); });
+  for (int i = 3; i <= 50; ++i) lane.run([&order, i] { order.push_back(i); });
+  lane.wait();
+  std::vector<int> expected(50);
+  std::iota(expected.begin(), expected.end(), 1);
+  EXPECT_EQ(order, expected);
+}
+
+TEST(ThreadPool, LaneRethrowsATaskExceptionOnceAndStaysUsable) {
+  util::Lane lane(2);
+  lane.run([] { throw std::runtime_error("task failed"); });
+  EXPECT_THROW(lane.wait(), std::runtime_error);
+  EXPECT_NO_THROW(lane.wait());  // rethrown once
+
+  // A failure joined by the next run() surfaces there; that task never
+  // starts, and the lane runs the one after it normally.
+  bool skipped = false;
+  lane.run([] { throw std::runtime_error("task failed again"); });
+  EXPECT_THROW(lane.run([&] { skipped = true; }), std::runtime_error);
+  lane.wait();
+  EXPECT_FALSE(skipped);
+
+  bool ran = false;
+  lane.run([&] { ran = true; });
+  lane.wait();
+  EXPECT_TRUE(ran);
+}
+
+TEST(ThreadPool, LaneDestructorJoinsARunningTask) {
+  std::atomic<bool> finished{false};
+  {
+    util::Lane lane(2);
+    lane.run([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished.store(true, std::memory_order_release);
+    });
+  }
+  EXPECT_TRUE(finished.load(std::memory_order_acquire));
+}
+
+TEST(ThreadPool, LaneTaskMayFanOutOnAPool) {
+  // A lane thread is outside any parallel region, so the nesting guard
+  // does not reject a task's parallel_for_index.
+  util::ThreadPool pool(4);
+  util::Lane lane(2);
+  std::atomic<std::size_t> sum{0};
+  lane.run([&] {
+    pool.parallel_for_index(100, [&](std::size_t i) {
+      sum.fetch_add(i, std::memory_order_relaxed);
+    });
+  });
+  EXPECT_NO_THROW(lane.wait());
+  EXPECT_EQ(sum.load(), 100u * 99u / 2u);
 }
 
 }  // namespace
