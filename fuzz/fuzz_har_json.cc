@@ -10,9 +10,11 @@
 //   4. One formatter — an exported HAR is a Json::dump fixed point,
 //      compact and pretty-printed: the streamed export and the tree dump
 //      agree on key order, number format and string escapes.
-//   5. Folded digest — har_digest, which hashes the HAR as it is written,
-//      equals FNV-1a-64 over the exported text, at a seed taken from the
-//      input bytes so the state's low byte varies.
+//   5. Folded digest — har_digest, which folds the HAR's fixed layout from
+//      a table of gaps and only its values byte by byte, equals FNV-1a-64
+//      over the exported text, at a seed taken from the input bytes so the
+//      state's low byte varies. The seed every_row.har reaches every row
+//      of that table.
 #include <cstdint>
 #include <span>
 #include <string>

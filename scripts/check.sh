@@ -37,7 +37,8 @@
 #      replayed under the ASan build, so every recovery path (torn-temp
 #      sweep, journal tail truncation, quarantine + rebuild) runs with the
 #      allocator instrumented
-#   9. UBSan preset build + full ctest
+#   9. UBSan preset build + full ctest (-fsanitize=undefined plus
+#      float-cast-overflow, which GCC leaves out of `undefined`)
 #  10. TSan preset build + the concurrency suites (thread pool and lane
 #      stress + pipeline determinism + fault-schedule determinism + the
 #      overload ledger 1-vs-8-thread determinism checks + the kill–resume

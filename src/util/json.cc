@@ -212,33 +212,17 @@ std::int64_t clamp_to_int64(double d) {
   return static_cast<std::int64_t>(d);
 }
 
-// Built at compile time: each run costs 256 hashes of its text.
-constinit const JsonWriter::FoldedLayout JsonWriter::kFolded = [] {
-  constexpr std::string_view kSpaces = "            ";
-  static_assert(kSpaces.size() == kFoldIndent * kFoldDepth);
-  FoldedLayout layout;
-  for (int depth = 0; depth <= kFoldDepth; ++depth) {
-    const std::string_view indent =
-        kSpaces.substr(0, static_cast<std::size_t>(kFoldIndent * depth));
-    layout.lines[0][depth] = FnvRun({"\n", indent});
-    layout.lines[1][depth] = FnvRun({",\n", indent});
-    layout.closers[0][depth] = FnvRun({"\n", indent, "}"});
-    layout.closers[1][depth] = FnvRun({"\n", indent, "]"});
-  }
-  return layout;
-}();
-
-void JsonWriter::text_bytes(std::string_view bytes) { out_->append(bytes); }
-
-void JsonWriter::text_spaces(std::size_t count) { out_->append(count, ' '); }
-
-std::string_view JsonWriter::format_double(double value, char (&buf)[32]) {
+std::string_view json_double_text(double value, JsonNumberBuffer& buf) {
   // to_chars with a precision is specified as printf's conversion in the
   // "C" locale, so this is "%.15g" without the locale and varargs cost.
   const auto result = std::to_chars(buf, buf + sizeof(buf), value,
                                     std::chars_format::general, 15);
   return std::string_view(buf, result.ptr);
 }
+
+void JsonWriter::emit(std::string_view bytes) { out_->append(bytes); }
+
+void JsonWriter::emit_spaces(std::size_t count) { out_->append(count, ' '); }
 
 std::int64_t Json::as_int() const {
   if (const auto* d = std::get_if<double>(&value_)) {

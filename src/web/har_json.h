@@ -27,12 +27,16 @@ void write_har(const PageLoad& load, int indent, std::string* out);
 std::string to_har_string(const PageLoad& load, int indent = 2);
 
 // The corpus fingerprint of one page: FNV-1a-64 over to_har_string(load)
-// (indent 2), chained from `seed`. The layout code behind write_har
-// drives JsonWriter's hash output, so the text is folded into the state as
-// it is written and never rendered; the digest allocates nothing.
+// (indent 2), chained from `seed`. The text is never rendered: each run of
+// fixed layout between two values folds in one step from a compile-time
+// table (har_json.cc), and only the values take the FNV byte loop. The
+// digest allocates nothing.
 std::uint64_t har_digest(const PageLoad& load, std::uint64_t seed);
 
 // Parses a HAR document produced by write_har back into a PageLoad.
+// Millisecond fields round to the nearest microsecond and saturate at
+// ±10^17 us, so importing an exported page gives back every value the
+// export writes exactly (times below 10^15 us).
 [[nodiscard]] origin::util::Result<PageLoad> from_har_json(const origin::util::Json& har);
 [[nodiscard]] origin::util::Result<PageLoad> from_har_string(std::string_view text);
 

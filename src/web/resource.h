@@ -28,7 +28,25 @@ enum class ContentType : std::uint8_t {
   kOther,
 };
 
-const char* content_type_name(ContentType type);
+// Each name function returns "?" for a value that names no enumerator.
+constexpr const char* content_type_name(ContentType type) {
+  switch (type) {
+    case ContentType::kHtml: return "text/html";
+    case ContentType::kJavascript: return "application/javascript";
+    case ContentType::kTextJavascript: return "text/javascript";
+    case ContentType::kXJavascript: return "application/x-javascript";
+    case ContentType::kCss: return "text/css";
+    case ContentType::kJpeg: return "image/jpeg";
+    case ContentType::kPng: return "image/png";
+    case ContentType::kGif: return "image/gif";
+    case ContentType::kWebp: return "image/webp";
+    case ContentType::kFontWoff2: return "font/woff2";
+    case ContentType::kJson: return "application/json";
+    case ContentType::kPlain: return "text/plain";
+    case ContentType::kOther: return "other";
+  }
+  return "?";
+}
 
 // How the document initiates the subrequest; affects coalescing (§5.3).
 enum class RequestMode : std::uint8_t {
@@ -38,7 +56,15 @@ enum class RequestMode : std::uint8_t {
   kFetchApi,        // fetch()/XMLHttpRequest — ditto
 };
 
-const char* request_mode_name(RequestMode mode);
+constexpr const char* request_mode_name(RequestMode mode) {
+  switch (mode) {
+    case RequestMode::kNavigation: return "navigation";
+    case RequestMode::kSubresource: return "subresource";
+    case RequestMode::kCorsAnonymous: return "cors-anonymous";
+    case RequestMode::kFetchApi: return "fetch-api";
+  }
+  return "?";
+}
 
 enum class HttpVersion : std::uint8_t {
   kH09,
@@ -50,7 +76,18 @@ enum class HttpVersion : std::uint8_t {
   kUnknown,
 };
 
-const char* http_version_name(HttpVersion version);
+constexpr const char* http_version_name(HttpVersion version) {
+  switch (version) {
+    case HttpVersion::kH09: return "HTTP/0.9";
+    case HttpVersion::kH10: return "HTTP/1.0";
+    case HttpVersion::kH11: return "HTTP/1.1";
+    case HttpVersion::kH2: return "HTTP/2";
+    case HttpVersion::kH3: return "H3-Q050";
+    case HttpVersion::kQuic: return "QUIC";
+    case HttpVersion::kUnknown: return "N/A";
+  }
+  return "?";
+}
 
 struct Resource {
   std::string hostname;

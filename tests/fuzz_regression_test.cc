@@ -206,6 +206,38 @@ TEST(FuzzRegressionHar, HugeNumbersClampedNotUndefined) {
       R"("startedDateTime":1e308,"response":{},"timings":{}}]}})");
   ASSERT_TRUE(load.ok()) << load.error().message;
   ASSERT_EQ(load->entries.size(), 1u);
+
+  // corpus: har_json/huge_timings.har — ±1e308 ms in startedDateTime and
+  // in every timing saturate the same way, and the sums the export writes
+  // (each entry's time, the page's onLoad) stay in range.
+  std::string huge = R"({"log":{"pages":[{"id":"x"}],"entries":[)";
+  for (const char* sign : {"", "-"}) {
+    if (*sign != '\0') huge += ",";
+    huge += R"({"request":{"url":"https://h/"},"_origin":{},"response":{},)";
+    huge += std::string(R"("startedDateTime":)") + sign + "1e308,";
+    huge += R"("timings":{)";
+    for (const char* phase :
+         {"blocked", "dns", "connect", "ssl", "send", "wait", "receive"}) {
+      if (phase[0] != 'b') huge += ",";
+      huge += std::string("\"") + phase + "\":" + sign + "1e308";
+    }
+    huge += "}}";
+  }
+  huge += "]}}";
+  auto timings = origin::web::from_har_string(huge);
+  ASSERT_TRUE(timings.ok()) << timings.error().message;
+  ASSERT_EQ(timings->entries.size(), 2u);
+  const auto& high = timings->entries[0];
+  const auto& low = timings->entries[1];
+  EXPECT_GT(high.start.micros(), 0);
+  EXPECT_EQ(low.start.micros(), -high.start.micros());
+  EXPECT_EQ(high.timings.wait, high.timings.blocked);
+  EXPECT_EQ(low.timings.wait.count_micros(),
+            -high.timings.wait.count_micros());
+  const std::string exported = origin::web::to_har_string(*timings);
+  auto reimported = origin::web::from_har_string(exported);
+  ASSERT_TRUE(reimported.ok()) << reimported.error().message;
+  EXPECT_EQ(origin::web::to_har_string(*reimported), exported);
 }
 
 TEST(FuzzRegressionHar, NestingBeyondDepthLimitRejected) {

@@ -257,51 +257,6 @@ TEST(JsonWriter, DoubleMatchesPrintf) {
   EXPECT_EQ(Json(std::numeric_limits<double>::infinity()).dump(), "null");
 }
 
-// The hash output folds write_har's layout (indent 2, depth <= 6) by
-// table and takes the byte loop for anything else; both must equal FNV
-// over the text output, at any indent and past the folded depth.
-constexpr util::JsonKey kFoldedKey{"folded"};
-
-TEST(JsonWriter, HashOutputIsFnvOfTheTextAtAnyLayout) {
-  const auto document = [](util::JsonWriter& w) {
-    w.begin_object();
-    w.key(kFoldedKey).string_value("");
-    w.key("empty").begin_object();
-    w.end_object();
-    w.key("flags").begin_array();
-    w.bool_value(true);
-    w.bool_value(false);
-    w.null_value();
-    w.end_array();
-    w.key("nested");
-    for (int depth = 0; depth < 9; ++depth) {
-      w.begin_array();
-      w.int_value(-depth);
-      w.begin_object();
-      w.key("k\"\x01").string_value("v\\\n");
-      w.key("ms").millis_value(1'234'567);
-      w.key(kFoldedKey).begin_array();
-      w.end_array();
-      w.end_object();
-    }
-    for (int depth = 0; depth < 9; ++depth) w.end_array();
-    w.key("pi").double_value(3.14159);
-    w.end_object();
-  };
-  for (int indent : {0, 1, 2, 4}) {
-    std::string text;
-    util::JsonWriter text_writer(&text, indent);
-    document(text_writer);
-    for (std::uint64_t seed : {std::uint64_t{0}, util::kFnvOffset,
-                               std::uint64_t{0xfedcba98765432ab}}) {
-      std::uint64_t fnv = seed;
-      util::JsonWriter hash_writer(&fnv, indent);
-      document(hash_writer);
-      EXPECT_EQ(fnv, util::fnv1a64(text, seed)) << "indent " << indent;
-    }
-  }
-}
-
 // --- HAR export: writer == tree formatter, and the corpus digest ---
 
 // The golden corpus: perfbench's corpus-stream configuration.
@@ -418,6 +373,49 @@ std::vector<web::PageLoad> edge_pages() {
       util::Duration::micros(std::numeric_limits<std::int64_t>::min() / 2);
   page.entries.push_back(huge);
   pages.push_back(page);
+
+  // Every row of har_digest's gap table: one entry per content type, and
+  // across them every version, mode, scheme, status, address family,
+  // empty and non-empty answer set, and both values of each boolean.
+  web::PageLoad every_row;
+  every_row.tranco_rank = 17;
+  every_row.base_hostname = "every-row.example";
+  every_row.extra_dns_queries = 1;
+  for (int i = 0; i <= static_cast<int>(web::ContentType::kOther); ++i) {
+    web::HarEntry entry;
+    entry.resource_index = i;
+    entry.hostname = "h" + std::to_string(i) + ".every-row.example";
+    entry.server_address = i % 2 == 0
+                               ? dns::IpAddress::v4(0x0A000001u + i)
+                               : dns::IpAddress::v6(0x100000000ULL + i);
+    for (int a = 0; a < i % 4; ++a) {
+      entry.dns_answer_set.push_back(dns::IpAddress::v4(0x0A000100u + a));
+    }
+    entry.asn = 64'500 + i;
+    entry.version = static_cast<web::HttpVersion>(i % 7);
+    entry.secure = i % 2 == 1;
+    entry.mode = static_cast<web::RequestMode>(i % 4);
+    entry.content_type = static_cast<web::ContentType>(i);
+    // Millisecond values with one, two and three decimals.
+    entry.start = util::SimTime::from_micros(1'001 + 250'110 * i);
+    entry.timings.blocked = util::Duration::micros(1'001 * i);
+    entry.timings.dns = util::Duration::micros(i % 2 == 0 ? 0 : 12'340);
+    entry.timings.connect = util::Duration::micros(20'500 + i);
+    entry.timings.ssl = util::Duration::micros(30'010);
+    entry.timings.send = util::Duration::micros(1);
+    entry.timings.wait = util::Duration::micros(45'678 * (i + 1));
+    entry.timings.receive = util::Duration::micros(999);
+    entry.new_dns_query = i % 2 == 0;
+    entry.new_tls_connection = i / 2 % 2 == 0;
+    entry.speculative_duplicate = i / 4 % 2 == 1;
+    entry.connection_id = 100 + i / 3;
+    entry.cert_serial = 7'000 + i;
+    entry.cert_issuer = i % 3 == 0 ? "" : "Issuer " + std::to_string(i);
+    entry.cert_san_count = i == 5 ? (std::int64_t{1} << 40) : i - 1;
+    entry.status_421 = i / 3 % 2 == 1;
+    every_row.entries.push_back(std::move(entry));
+  }
+  pages.push_back(every_row);
   return pages;
 }
 
@@ -432,6 +430,56 @@ TEST(JsonWriter, HarIsDumpFixedPointOnEdgePages) {
   EXPECT_NE(text.find("\"blocked\":1000000000000,"), std::string::npos);
   EXPECT_NE(text.find("\"send\":4.61168601842739e+15,"), std::string::npos);
   EXPECT_NE(text.find("\\u0001"), std::string::npos);
+}
+
+// Every millisecond value of `entry` lies below 10^15 us, where the export
+// writes it exactly; past that it keeps "%.15g"'s 15 digits.
+bool exported_exactly(const web::HarEntry& entry) {
+  constexpr std::int64_t kExact = 1'000'000'000'000'000;
+  const web::PhaseTimings& t = entry.timings;
+  for (std::int64_t us :
+       {entry.start.micros(), t.total().count_micros(),
+        t.blocked.count_micros(), t.dns.count_micros(),
+        t.connect.count_micros(), t.ssl.count_micros(), t.send.count_micros(),
+        t.wait.count_micros(), t.receive.count_micros()}) {
+    if (us <= -kExact || us >= kExact) return false;
+  }
+  return true;
+}
+
+// Importing an exported HAR gives back a page that exports to the same
+// text: every field reads back as the value written, and each millisecond
+// value rounds to the microsecond it came from. Entries whose values the
+// export cannot write exactly are checked for the weaker property: one
+// import makes the text a fixed point.
+TEST(HarJson, ImportInvertsExport) {
+  std::vector<web::PageLoad> pages;
+  for (const web::PageLoad& page : edge_pages()) {
+    web::PageLoad exact = page;
+    std::erase_if(exact.entries, [](const web::HarEntry& entry) {
+      return !exported_exactly(entry);
+    });
+    pages.push_back(exact);
+    if (exact.entries.size() != page.entries.size()) {
+      const std::string text = web::to_har_string(page);
+      auto once = web::from_har_string(text);
+      ASSERT_TRUE(once.ok()) << once.error().message;
+      const std::string fixed = web::to_har_string(*once);
+      auto twice = web::from_har_string(fixed);
+      ASSERT_TRUE(twice.ok()) << twice.error().message;
+      EXPECT_EQ(web::to_har_string(*twice), fixed) << page.base_hostname;
+    }
+  }
+  const std::vector<web::PageLoad> golden = golden_pages();
+  for (std::size_t i = 0; i < golden.size(); i += 37) {
+    pages.push_back(golden[i]);
+  }
+  for (const web::PageLoad& page : pages) {
+    const std::string text = web::to_har_string(page);
+    auto imported = web::from_har_string(text);
+    ASSERT_TRUE(imported.ok()) << imported.error().message;
+    EXPECT_EQ(web::to_har_string(*imported), text) << page.base_hostname;
+  }
 }
 
 // The corpus-stream reference digests at seed 42; the same values perfbench
@@ -451,6 +499,15 @@ TEST(HarDigest, GoldenCorpusDigestsArePinned) {
 // random high bits.
 TEST(HarDigest, IsFnvChainedOverTheIndentedText) {
   std::vector<web::PageLoad> pages = edge_pages();
+  // Enum values past the last enumerator, which the export writes as "?".
+  web::PageLoad unnamed = pages[2];
+  for (web::HarEntry& entry : unnamed.entries) {
+    entry.version = static_cast<web::HttpVersion>(7 + entry.resource_index);
+    entry.mode = static_cast<web::RequestMode>(4 + entry.resource_index);
+    entry.content_type =
+        static_cast<web::ContentType>(13 + entry.resource_index);
+  }
+  pages.push_back(unnamed);
   const std::vector<web::PageLoad> golden = golden_pages();
   for (std::size_t i = 0; i < golden.size(); i += 37) {
     pages.push_back(golden[i]);
