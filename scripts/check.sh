@@ -43,8 +43,11 @@
 #      stress + pipeline determinism + fault-schedule determinism + the
 #      overload ledger 1-vs-8-thread determinism checks + the kill–resume
 #      matrix, whose analyze kills at 8 threads return with both digest
-#      lanes in flight) with ORIGIN_THREADS=8, so every shard path and the
-#      lanes' error path run contended under the race detector
+#      lanes in flight, and whose generate.encode / manifest.append kills
+#      return with the next shard's page loads in flight on the loader
+#      lane + the non-contiguous resume, whose loader lane prefetches
+#      across a reused shard) with ORIGIN_THREADS=8, so every shard path
+#      and the lanes' error path run contended under the race detector
 #  11. perf: Release build of the perf + ablation benches; each makes its
 #      in-run checks, gates one metric against its committed BENCH_*.json
 #      at the repo root (the gate table in bench/report.h), refreshes that
@@ -128,7 +131,7 @@ echo "==> [10/11] ThreadSanitizer preset (concurrency suites, 8 threads)"
 cmake -B build-tsan -S . -DORIGIN_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS"
 ORIGIN_THREADS=8 ctest --test-dir build-tsan --output-on-failure \
-  -R 'ThreadPool|PipelineDeterminism|FaultDeterminism|BitIdenticalAcrossThreadCounts|CrashResumeTest.KillResumeMatrixIsBitIdentical'
+  -R 'ThreadPool|PipelineDeterminism|FaultDeterminism|BitIdenticalAcrossThreadCounts|CrashResumeTest.KillResumeMatrixIsBitIdentical|CrashResumeTest.ResumeRebuildsNonContiguousShards'
 
 echo "==> [11/11] perf gates (Release benches, repo-root BENCH_*.json)"
 cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release

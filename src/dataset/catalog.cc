@@ -144,16 +144,6 @@ const std::vector<PopularHostSpec>& popular_hosts() {
   return kHosts;
 }
 
-const std::vector<ProtocolShare>& protocol_mix() {
-  // Table 3. N/A requests (6.8%) are modeled as kUnknown.
-  static const std::vector<ProtocolShare> kMix = {
-      {web::HttpVersion::kH2, 0.7364},  {web::HttpVersion::kH11, 0.1909},
-      {web::HttpVersion::kH3, 0.0034},  {web::HttpVersion::kQuic, 0.0007},
-      {web::HttpVersion::kH10, 0.0003}, {web::HttpVersion::kUnknown, 0.0680},
-  };
-  return kMix;
-}
-
 const std::vector<RankBucketSpec>& rank_buckets() {
   // Table 1. Success counts per 100K bucket and per-bucket request medians.
   static const std::vector<RankBucketSpec> kBuckets = {

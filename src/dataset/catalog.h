@@ -73,12 +73,6 @@ const std::vector<PopularHostSpec>& popular_hosts();
 
 // --- Protocol mix (Table 3) ------------------------------------------------
 
-struct ProtocolShare {
-  web::HttpVersion version;
-  double share;
-};
-
-const std::vector<ProtocolShare>& protocol_mix();
 inline constexpr double kSecureShare = 0.9853;  // Table 3 (bottom)
 
 // --- Per-rank-bucket calibration (Table 1) ---------------------------------

@@ -407,31 +407,35 @@ util::Status StreamingCorpus::prepare_spill_dir(
   return util::Status::ok_status();
 }
 
-util::Result<StreamingCorpus::EncodedShard> StreamingCorpus::build_shard(
-    ShardInfo& info, util::ThreadPool& pool) {
-  const std::size_t count = shard_site_count(info.first_site);
-
+void StreamingCorpus::load_pages(std::size_t first_site,
+                                 util::ThreadPool& pool,
+                                 std::vector<web::PageLoad>& loads) const {
   // Parallel load: per-site seeds and connection-id blocks come from the
-  // site index alone, so worker scheduling cannot leak into the pages.
-  std::vector<web::PageLoad> loads(count);
-  pool.parallel_for_index(count, [&](std::size_t k) {
-    const std::size_t site_index = eligible_[info.first_site + k];
+  // site index alone, so worker scheduling cannot leak into the pages. The
+  // slots are overwritten in place, so a previous shard's page k is freed
+  // by the worker that stores this shard's page k.
+  loads.resize(shard_site_count(first_site));
+  pool.parallel_for_index(loads.size(), [&](std::size_t k) {
+    const std::size_t site_index = eligible_[first_site + k];
     browser::PageLoader loader(
         corpus_.env(), loader_options_for_site(options_.loader, site_index));
     loads[k] = loader.load(corpus_.page_for_site(site_index));
   });
-  if (util::crash::crash_point("generate.load")) {
-    return util::make_error("corpus: crash injected at generate.load");
-  }
+}
 
+void StreamingCorpus::append_shard(ShardInfo& info,
+                                   const std::vector<web::PageLoad>& loads) {
   // Serial columnar append in site order (symbol ids are first-appearance
   // order, part of the canonical snapshot form).
   columns_.clear();
   columns_.set_identity(info.index, corpus_.options().seed, info.first_site);
   for (const web::PageLoad& load : loads) columns_.append_page(load);
-
   info.pages = columns_.page_count();
   info.entries = columns_.entry_count();
+}
+
+util::Result<StreamingCorpus::EncodedShard> StreamingCorpus::encode_shard(
+    ShardInfo& info) {
   EncodedShard encoded;
   encoded.bytes = encode_snapshot(columns_, &encoded.payload_crc64);
   if (util::crash::crash_point("generate.encode")) {
@@ -441,6 +445,17 @@ util::Result<StreamingCorpus::EncodedShard> StreamingCorpus::build_shard(
   info.content_crc64 =
       snapshot_content_crc64(encoded.bytes, encoded.payload_crc64);
   return encoded;
+}
+
+util::Result<StreamingCorpus::EncodedShard> StreamingCorpus::build_shard(
+    ShardInfo& info, util::ThreadPool& pool) {
+  std::vector<web::PageLoad> loads;
+  load_pages(info.first_site, pool, loads);
+  if (util::crash::crash_point("generate.load")) {
+    return util::make_error("corpus: crash injected at generate.load");
+  }
+  append_shard(info, loads);
+  return encode_shard(info);
 }
 
 util::Status StreamingCorpus::commit_shard(ShardInfo& info,
@@ -476,7 +491,11 @@ util::Status StreamingCorpus::generate() {
     if (!prepared.ok()) return prepared;
   }
 
-  util::ThreadPool pool(options_.threads);
+  // Plan: decide for every shard whether it is reused, before building
+  // any. The decision reads only the journal and that shard's own file,
+  // and building a shard writes no other shard's file, so planning first
+  // decides exactly what deciding shard by shard would.
+  std::vector<std::size_t> to_build;  // indices into shards_, ascending
   for (std::size_t begin = 0; begin < eligible_.size(); begin += per_shard) {
     ShardInfo info;
     info.index = shards_.size();
@@ -506,17 +525,53 @@ util::Status StreamingCorpus::generate() {
         recovery_.shards_regenerated += 1;
       }
     }
-
-    auto encoded = build_shard(info, pool);
-    if (!encoded.ok()) return encoded.error();
-    if (!spilling) {
-      info.buffer = std::move(encoded).value().bytes;
-    } else {
-      auto committed = commit_shard(info, encoded->bytes);
-      if (!committed.ok()) return committed;
-    }
+    to_build.push_back(info.index);
     shards_.push_back(std::move(info));
   }
+
+  // Build: the next shard to build loads on the lane (which fans out on
+  // the pool) while this thread encodes and commits the current one. One
+  // vector of pages is resident: the lane starts only after the current
+  // shard is appended to columns_, and overwrites its pages slot by slot.
+  // Every crash point stays on this thread, in the serial order; the lane
+  // does no durable I/O. The lane is declared after what its task touches,
+  // so on an exception its destructor joins first.
+  util::ThreadPool pool(options_.threads);
+  std::vector<web::PageLoad> loads;
+  util::Lane loader(options_.threads);
+  auto build = [&]() -> util::Status {
+    if (!to_build.empty()) {
+      load_pages(shards_[to_build.front()].first_site, pool, loads);
+    }
+    for (std::size_t j = 0; j < to_build.size(); ++j) {
+      ShardInfo& info = shards_[to_build[j]];
+      loader.wait();
+      if (util::crash::crash_point("generate.load")) {
+        return util::make_error("corpus: crash injected at generate.load");
+      }
+      append_shard(info, loads);
+      if (j + 1 < to_build.size()) {
+        const std::size_t next = shards_[to_build[j + 1]].first_site;
+        loader.run([this, next, &pool, &loads] {
+          load_pages(next, pool, loads);
+        });
+      }
+      auto encoded = encode_shard(info);
+      if (!encoded.ok()) return encoded.error();
+      if (!spilling) {
+        info.buffer = std::move(encoded).value().bytes;
+      } else {
+        auto committed = commit_shard(info, encoded->bytes);
+        if (!committed.ok()) return committed;
+      }
+    }
+    return util::Status::ok_status();
+  };
+  const util::Status built = build();
+  // Every path joins the lane here, and a load's exception reaches the
+  // caller ahead of any build error.
+  loader.wait();
+  if (!built.ok()) return built;
   generated_ = true;
   return util::Status::ok_status();
 }

@@ -16,14 +16,16 @@
 // Determinism contract (DESIGN.md §8): shard boundaries never change
 // results. Page loads derive their RNG seed and connection-id block from
 // the site index alone (loader_options_for_site, shared with the
-// materialized collector), shards are analyzed in index order with the
-// model's serial intern prepass per batch, and shard observers run
-// serially in site order on the analyze thread. The measured and the
-// reconstructed digest chains each fold on a background lane (util::Lane)
-// that takes one shard at a time in site order from a single buffer, so
-// both chains equal the serial ones and one shard stays resident — and
-// streamed outputs are byte-identical to the fully materialized path at
-// any thread count and any shard size.
+// materialized collector), shards are appended and encoded in index order
+// on the generate thread while the next shard's pages load on a
+// background lane (util::Lane) into the one page buffer, shards are
+// analyzed in index order with the model's serial intern prepass per
+// batch, and shard observers run serially in site order on the analyze
+// thread. The measured and the reconstructed digest chains each fold on a
+// lane that takes one shard at a time in site order from a single buffer,
+// so both chains equal the serial ones. Each phase keeps one shard of
+// pages resident, and streamed outputs are byte-identical to the fully
+// materialized path at any thread count and any shard size.
 //
 // Crash consistency (DESIGN.md §15): with a spill directory the pipeline
 // is resumable. Every spilled shard is committed by durable rename
@@ -173,9 +175,11 @@ struct StreamingOptions {
   std::size_t sites_per_shard = 4'096;
   std::size_t shard_count = 0;
   // Worker threads for the per-shard load and model batches; above 1,
-  // analyze() also folds the two digest chains on two background lanes.
-  // 0 resolves via ORIGIN_THREADS; 1 = serial fallback, with no thread
-  // beyond the caller's. Any value is bit-identical.
+  // generate() also loads the next shard's pages on a background lane
+  // while it encodes and commits the current one, and analyze() folds the
+  // two digest chains on two more. 0 resolves via ORIGIN_THREADS; 1 =
+  // serial fallback, with no thread beyond the caller's. Any value is
+  // bit-identical.
   std::size_t threads = 1;
   // Load at most this many eligible sites; 0 = all.
   std::size_t max_sites = 0;
@@ -250,10 +254,12 @@ struct StreamStats {
 };
 
 // Out-of-core generate → analyze → reconstruct over a Corpus. generate()
-// loads pages shard-by-shard on the thread pool, appends them into the
-// reused TimelineColumns, encodes each shard, and spills it; analyze()
-// streams the shards back in index order through the coalescing model and
-// any registered ShardObserver with one shard resident at a time.
+// first decides which shards a resume reuses, then loads the others'
+// pages shard-by-shard on the thread pool, appends them into the reused
+// TimelineColumns, encodes each shard, and spills it — loading shard k+1
+// while shard k is encoded and committed; analyze() streams the shards
+// back in index order through the coalescing model and any registered
+// ShardObserver with one shard resident at a time.
 class StreamingCorpus {
  public:
   StreamingCorpus(Corpus& corpus, StreamingOptions options);
@@ -286,8 +292,18 @@ class StreamingCorpus {
     util::Bytes bytes;
     std::uint64_t payload_crc64 = 0;
   };
-  // Loads the shard's site range, encodes it, and fills info's row totals
-  // and content CRC.
+  // The three steps of building a shard. load_pages fills `loads` with the
+  // pages of the shard starting at eligible ordinal `first_site`, one slot
+  // per site on the pool; it reads only the corpus and the options, so it
+  // may run beside append/encode/commit of another shard. append_shard
+  // writes the pages into columns_ in site order and fills info's row
+  // totals; encode_shard encodes columns_ and fills info's size and content
+  // CRC.
+  void load_pages(std::size_t first_site, util::ThreadPool& pool,
+                  std::vector<web::PageLoad>& loads) const;
+  void append_shard(ShardInfo& info, const std::vector<web::PageLoad>& loads);
+  [[nodiscard]] util::Result<EncodedShard> encode_shard(ShardInfo& info);
+  // Loads, appends and encodes one shard, serially (the quarantine rebuild).
   [[nodiscard]] util::Result<EncodedShard> build_shard(ShardInfo& info,
                                                        util::ThreadPool& pool);
   // Durably writes the shard file, then journals it (write ordering:

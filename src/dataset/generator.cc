@@ -15,6 +15,7 @@ using dns::IpAddress;
 using origin::util::Duration;
 using origin::util::Rng;
 using origin::util::SimTime;
+using origin::util::WeightedTable;
 
 namespace {
 
@@ -40,6 +41,24 @@ netsim::LinkParams tail_link(Rng& rng) {
   return link;
 }
 
+// Running sums of one field over a catalog table.
+template <typename Spec, typename Field>
+WeightedTable table_of(const std::vector<Spec>& specs, Field field) {
+  std::vector<double> weights;
+  weights.reserve(specs.size());
+  for (const Spec& spec : specs) weights.push_back(field(spec));
+  return WeightedTable(weights);
+}
+
+std::size_t provider_index(const std::string& organization) {
+  const auto& specs = providers();
+  for (std::size_t p = 0; p < specs.size(); ++p) {
+    if (specs[p].organization == organization) return p;
+  }
+  ORIGIN_CHECK(false, "generator: organization is not a catalog provider");
+  return 0;
+}
+
 }  // namespace
 
 Corpus::Corpus(CorpusOptions options)
@@ -47,6 +66,7 @@ Corpus::Corpus(CorpusOptions options)
   build_providers();
   build_popular_services();
   build_tail_services();
+  index_destinations();
   build_sites();
 }
 
@@ -70,39 +90,41 @@ void Corpus::build_providers() {
     next_block += 0x0002'0000;
     provider_pools_[provider.organization] = std::move(pool);
   }
+
+  // Draw tables over the catalog, before any draw.
+  hosting_table_ = table_of(
+      providers(), [](const ProviderSpec& p) { return p.hosting_share; });
+  issuer_table_ = table_of(
+      issuers(), [](const IssuerSpec& i) { return i.validation_share; });
+  san_table_ = table_of(san_count_distribution(),
+                        [](const SanCountBin& bin) { return bin.weight; });
+  for (const auto& provider : providers()) {
+    content_tables_.push_back(
+        table_of(content_types(), [&](const ContentTypeSpec& spec) {
+          return spec.share *
+                 provider_content_bias(provider.organization, spec.type);
+        }));
+  }
 }
 
 std::size_t Corpus::sample_san_count(Rng& rng) const {
-  const auto& bins = san_count_distribution();
-  std::vector<double> weights;
-  weights.reserve(bins.size());
-  for (const auto& bin : bins) weights.push_back(bin.weight);
-  const auto& bin = bins[rng.weighted(weights)];
+  const auto& bin = san_count_distribution()[rng.weighted(san_table_)];
   if (bin.san_count >= 0) return static_cast<std::size_t>(bin.san_count);
   // Heavy tail above 10: bounded Pareto calibrated so ~0.9% of tail sites
   // exceed 250 SAN names (230 sites in the paper's 315,796).
   return static_cast<std::size_t>(rng.pareto(11.0, 2000.0, 1.52));
 }
 
-web::ContentType Corpus::sample_content_type(
-    Rng& rng, const std::string& organization) const {
-  const auto& types = content_types();
-  std::vector<double> weights;
-  weights.reserve(types.size());
-  for (const auto& spec : types) {
-    weights.push_back(spec.share *
-                      provider_content_bias(organization, spec.type));
-  }
-  return types[rng.weighted(weights)].type;
+web::ContentType Corpus::sample_content_type(Rng& rng,
+                                             std::size_t provider) const {
+  return content_types()[rng.weighted(content_tables_[provider])].type;
 }
 
 void Corpus::build_popular_services() {
   Rng rng = rng_.fork(0x90901);
   for (const auto& host : popular_hosts()) {
-    const auto* provider_spec = &providers().front();
-    for (const auto& p : providers()) {
-      if (p.organization == host.organization) provider_spec = &p;
-    }
+    const std::size_t provider = provider_index(host.organization);
+    const ProviderSpec* provider_spec = &providers()[provider];
     Service service;
     service.name = "popular:" + host.hostname;
     service.asn = provider_spec->asn;
@@ -125,7 +147,7 @@ void Corpus::build_popular_services() {
 
     Destination dest;
     dest.hostname = host.hostname;
-    dest.organization = host.organization;
+    dest.provider = provider;
     dest.dominant_type = host.dominant_type;
     dest.mode = host.mode;
     dest.weight = host.request_share;
@@ -146,12 +168,11 @@ void Corpus::build_tail_services() {
   // Tail third-party services are distributed over providers weighted by
   // request share — this is what pushes Google/Cloudflare/Amazon to their
   // Table 2 request shares beyond the Table 7 head.
-  std::vector<double> provider_weights;
-  for (const auto& provider : providers()) {
-    provider_weights.push_back(provider.request_share);
-  }
+  const WeightedTable request_table = table_of(
+      providers(), [](const ProviderSpec& p) { return p.request_share; });
   for (std::size_t i = 0; i < options_.tail_service_count; ++i) {
-    const auto& provider = providers()[rng.weighted(provider_weights)];
+    const std::size_t provider_at = rng.weighted(request_table);
+    const auto& provider = providers()[provider_at];
     Service service;
     const std::string hostname =
         "t" + std::to_string(i) + ".thirdparty" + std::to_string(i % 600) +
@@ -181,8 +202,8 @@ void Corpus::build_tail_services() {
 
     Destination dest;
     dest.hostname = hostname;
-    dest.organization = provider.organization;
-    dest.dominant_type = sample_content_type(rng, provider.organization);
+    dest.provider = provider_at;
+    dest.dominant_type = sample_content_type(rng, provider_at);
     const double mode_draw = rng.uniform_double();
     dest.mode = mode_draw < 0.08   ? web::RequestMode::kFetchApi
                 : mode_draw < 0.13 ? web::RequestMode::kCorsAnonymous
@@ -204,19 +225,33 @@ void Corpus::build_tail_services() {
   }
 }
 
+void Corpus::index_destinations() {
+  auto weight = [](const Destination& dest) { return dest.weight; };
+  popular_table_ = table_of(popular_destinations_, weight);
+  tail_table_ = table_of(tail_destinations_, weight);
+
+  // page_for_site takes each host's popular match, then its tail match:
+  // at most one from each vector, so a hostname may not repeat within one.
+  destination_index_.reserve(popular_destinations_.size() +
+                             tail_destinations_.size());
+  for (std::size_t d = 0; d < popular_destinations_.size(); ++d) {
+    DestinationMatch& match =
+        destination_index_[popular_destinations_[d].hostname];
+    ORIGIN_CHECK(match.popular == DestinationMatch::kNone,
+                 "generator: duplicate popular destination hostname");
+    match.popular = d;
+  }
+  for (std::size_t d = 0; d < tail_destinations_.size(); ++d) {
+    DestinationMatch& match =
+        destination_index_[tail_destinations_[d].hostname];
+    ORIGIN_CHECK(match.tail == DestinationMatch::kNone,
+                 "generator: duplicate tail destination hostname");
+    match.tail = d;
+  }
+}
+
 void Corpus::build_sites() {
   Rng rng = rng_.fork(0x90903);
-  SiteWeights weights;
-  for (const auto& provider : providers()) {
-    weights.hosting.push_back(provider.hosting_share);
-  }
-  for (const auto& dest : popular_destinations_) {
-    weights.popular.push_back(dest.weight);
-  }
-  for (const auto& dest : tail_destinations_) {
-    weights.tail.push_back(dest.weight);
-  }
-
   const std::size_t n = options_.site_count;
 
   // Phase 1 (serial): hoist per-site RNGs into an immutable prepass.
@@ -233,7 +268,7 @@ void Corpus::build_sites() {
   std::vector<SiteDraft> drafts(n);
   origin::util::ThreadPool pool(options_.threads);
   pool.parallel_for_index(n, [&](std::size_t i) {
-    drafts[i] = draft_site(i, site_rngs[i], weights);
+    drafts[i] = draft_site(i, site_rngs[i]);
   });
 
   // Phase 3 (serial): materialize in index order. Certificate issuance
@@ -244,8 +279,7 @@ void Corpus::build_sites() {
   for (std::size_t i = 0; i < n; ++i) materialize_site(std::move(drafts[i]));
 }
 
-Corpus::SiteDraft Corpus::draft_site(std::size_t i, Rng site_rng,
-                                     const SiteWeights& weights) const {
+Corpus::SiteDraft Corpus::draft_site(std::size_t i, Rng site_rng) const {
   SiteDraft draft;
   SiteInfo& site = draft.site;
   site.rank = 1 + (static_cast<std::uint64_t>(i) * kTrancoRange) /
@@ -263,7 +297,7 @@ Corpus::SiteDraft Corpus::draft_site(std::size_t i, Rng site_rng,
 
   const auto& provider =
       target == 0 ? providers().back()  // Long Tail Hosting
-                  : providers()[site_rng.weighted(weights.hosting)];
+                  : providers()[site_rng.weighted(hosting_table_)];
   site.provider = provider.organization;
 
   // Shards: sharded deployment is the HTTP/1.1 legacy the paper studies.
@@ -306,9 +340,8 @@ Corpus::SiteDraft Corpus::draft_site(std::size_t i, Rng site_rng,
              popular_destinations_.size() + tail_destinations_.size()) {
     const bool popular = site_rng.bernoulli(0.72);
     const Destination& dest =
-        popular
-            ? popular_destinations_[site_rng.weighted(weights.popular)]
-            : tail_destinations_[site_rng.weighted(weights.tail)];
+        popular ? popular_destinations_[site_rng.weighted(popular_table_)]
+                : tail_destinations_[site_rng.weighted(tail_table_)];
     if (chosen.insert(dest.hostname)) {
       site.third_party_hosts.push_back(dest.hostname);
     }
@@ -365,11 +398,7 @@ Corpus::SiteDraft Corpus::draft_site(std::size_t i, Rng site_rng,
   // Issuer: the provider's house CA usually; otherwise by Table 4 share.
   draft.issuer_name = provider.ca_name;
   if (!site_rng.bernoulli(0.70)) {
-    std::vector<double> issuer_weights;
-    for (const auto& issuer : issuers()) {
-      issuer_weights.push_back(issuer.validation_share);
-    }
-    draft.issuer_name = issuers()[site_rng.weighted(issuer_weights)].name;
+    draft.issuer_name = issuers()[site_rng.weighted(issuer_table_)].name;
   }
   return draft;
 }
@@ -406,23 +435,26 @@ web::Webpage Corpus::page_for_site(std::size_t site_index) const {
   page.tranco_rank = site.rank;
   page.base_hostname = site.domain;
 
-  // Destination lookup for this page.
+  // Destination lookup for this page: each host's popular match, then its
+  // tail match.
   std::vector<const Destination*> dests;
   std::vector<double> dest_weights;
   for (const auto& host : site.third_party_hosts) {
-    for (const auto& dest : popular_destinations_) {
-      if (dest.hostname == host) {
-        dests.push_back(&dest);
-        dest_weights.push_back(dest.weight * 30.0);  // head hosts are hot
-      }
+    const DestinationMatch* match = destination_index_.find(host);
+    if (match == nullptr) continue;
+    if (match->popular != DestinationMatch::kNone) {
+      const Destination& dest = popular_destinations_[match->popular];
+      dests.push_back(&dest);
+      dest_weights.push_back(dest.weight * 30.0);  // head hosts are hot
     }
-    for (const auto& dest : tail_destinations_) {
-      if (dest.hostname == host) {
-        dests.push_back(&dest);
-        dest_weights.push_back(dest.weight);
-      }
+    if (match->tail != DestinationMatch::kNone) {
+      const Destination& dest = tail_destinations_[match->tail];
+      dests.push_back(&dest);
+      dest_weights.push_back(dest.weight);
     }
   }
+  const WeightedTable dest_table(dest_weights);
+  const std::size_t site_provider = provider_index(site.provider);
 
   const auto& type_specs = content_types();
   auto size_for = [&](web::ContentType type) -> std::size_t {
@@ -455,6 +487,7 @@ web::Webpage Corpus::page_for_site(std::size_t site_index) const {
   if (shard_farm) {
     subresource_count = std::min<std::size_t>(subresource_count * 3, 600);
   }
+  page.resources.reserve(1 + subresource_count);
   const double first_party_fraction =
       shard_farm ? 0.6
                  : std::clamp(
@@ -485,6 +518,7 @@ web::Webpage Corpus::page_for_site(std::size_t site_index) const {
       site.provider == "Long Tail Hosting" && rng.bernoulli(0.20);
 
   int last_dest_index = -1;  // dests[] index of the previous third-party pick
+  std::vector<int> candidates;  // dests[] indices of one organization
   for (std::size_t r = 0; r < subresource_count; ++r) {
     web::Resource res;
     // Dependency structure first: deep chains preferentially stay within
@@ -498,11 +532,11 @@ web::Webpage Corpus::page_for_site(std::size_t site_index) const {
     int same_org_dest = -1;
     if (chain_prev && last_dest_index >= 0 && rng.bernoulli(0.75)) {
       // Continue within the previous destination's organization.
-      const std::string& org = dests[static_cast<std::size_t>(
-                                         last_dest_index)]->organization;
-      std::vector<int> candidates;
+      const std::size_t provider =
+          dests[static_cast<std::size_t>(last_dest_index)]->provider;
+      candidates.clear();
       for (std::size_t d = 0; d < dests.size(); ++d) {
-        if (dests[d]->organization == org) {
+        if (dests[d]->provider == provider) {
           candidates.push_back(static_cast<int>(d));
         }
       }
@@ -523,7 +557,7 @@ web::Webpage Corpus::page_for_site(std::size_t site_index) const {
       } else {
         res.hostname = site.domain;
       }
-      res.content_type = sample_content_type(rng, site.provider);
+      res.content_type = sample_content_type(rng, site_provider);
       res.mode = rng.bernoulli(0.05) ? web::RequestMode::kFetchApi
                                      : web::RequestMode::kSubresource;
       // First-party protocol follows the site service.
@@ -534,13 +568,13 @@ web::Webpage Corpus::page_for_site(std::size_t site_index) const {
     } else {
       const std::size_t dest_index =
           same_org_dest >= 0 ? static_cast<std::size_t>(same_org_dest)
-                             : rng.weighted(dest_weights);
+                             : rng.weighted(dest_table);
       const Destination& dest = *dests[dest_index];
       last_dest_index = static_cast<int>(dest_index);
       res.hostname = dest.hostname;
       res.content_type = rng.bernoulli(0.55)
                              ? dest.dominant_type
-                             : sample_content_type(rng, dest.organization);
+                             : sample_content_type(rng, dest.provider);
       res.mode = dest_modes[dest_index];
       res.version = dest.version;
       res.secure = dest.secure;

@@ -6,11 +6,21 @@
 // deterministically — `page_for_site(i)` always returns the same page for
 // the same corpus seed — so corpus-scale experiments can stream page loads
 // without holding 35M requests in memory.
+//
+// Every weighted draw reads a util::WeightedTable of running sums that the
+// constructor builds once (catalog shares, destination weights, one
+// content-type table per organization); a table draw picks the index, and
+// consumes the draw, that Rng::weighted(span) would over the same weights.
+// Page synthesis finds a site's third-party destinations through a
+// hostname index built at the same time. Tables and index are read-only
+// once the constructor returns, so concurrent page_for_site calls take no
+// lock (DESIGN.md §8). Corpus.SynthesisDigestIsPinned pins the world.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "browser/environment.h"
@@ -87,13 +97,20 @@ class Corpus {
  private:
   struct Destination {
     std::string hostname;
-    std::string organization;
+    std::size_t provider = 0;  // index into providers(): the organization
     web::ContentType dominant_type = web::ContentType::kOther;
     web::RequestMode mode = web::RequestMode::kSubresource;
     double weight = 1.0;
     double sri_churn = 0.05;  // per-page chance of CORS/fetch usage
     web::HttpVersion version = web::HttpVersion::kH2;
     bool secure = true;
+  };
+  // Where a third-party hostname sits in the two destination tables, in
+  // the order page synthesis visits them: popular first, then tail.
+  struct DestinationMatch {
+    static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    std::size_t popular = kNone;
+    std::size_t tail = kNone;
   };
 
   // One site's sampled state before the serial materialize step: everything
@@ -106,21 +123,16 @@ class Corpus {
     std::vector<std::string> sans;
     std::string issuer_name;
   };
-  struct SiteWeights {
-    std::vector<double> hosting;
-    std::vector<double> popular;
-    std::vector<double> tail;
-  };
 
   void build_providers();
   void build_popular_services();
   void build_tail_services();
+  void index_destinations();
   void build_sites();
-  SiteDraft draft_site(std::size_t index, origin::util::Rng site_rng,
-                       const SiteWeights& weights) const;
+  SiteDraft draft_site(std::size_t index, origin::util::Rng site_rng) const;
   void materialize_site(SiteDraft draft);
   web::ContentType sample_content_type(origin::util::Rng& rng,
-                                       const std::string& organization) const;
+                                       std::size_t provider) const;
   std::size_t sample_san_count(origin::util::Rng& rng) const;
 
   CorpusOptions options_;
@@ -129,6 +141,22 @@ class Corpus {
   std::vector<SiteInfo> sites_;
   std::vector<Destination> popular_destinations_;
   std::vector<Destination> tail_destinations_;
+
+  // Draw tables and the destination index (see the file comment), built
+  // by the constructor before any site is drafted; the parallel draft
+  // phase and concurrent page_for_site calls read them without locks.
+  util::WeightedTable hosting_table_;   // providers' hosting share
+  util::WeightedTable issuer_table_;    // issuers' validation share
+  util::WeightedTable san_table_;       // SAN-count bins
+  // Content types for resources an organization serves (catalog share ×
+  // provider_content_bias), index-aligned with providers().
+  std::vector<util::WeightedTable> content_tables_;
+  util::WeightedTable popular_table_;   // popular destinations' weights
+  util::WeightedTable tail_table_;      // tail destinations' weights
+  // Third-party hostname -> its destinations. The keys view the
+  // destination vectors' hostnames, which are never resized after
+  // index_destinations() runs; hostnames are unique within each vector.
+  util::FlatMap<std::string_view, DestinationMatch> destination_index_;
   // Immutable once build_providers() returns, so the parallel draft phase
   // reads it without synchronization. (Site -> service resolution needs no
   // side table: the environment's interned host index already maps each

@@ -1,8 +1,10 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
+#include "util/check.h"
 #include "util/fnv.h"
 
 namespace origin::util {
@@ -20,6 +22,17 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
+
+WeightedTable::WeightedTable(std::span<const double> weights) {
+  sums_.reserve(weights.size());
+  double acc = 0.0;
+  for (double w : weights) {
+    ORIGIN_CHECK(w >= 0.0, "WeightedTable: weight is negative or NaN");
+    acc += w;
+    ORIGIN_CHECK(std::isfinite(acc), "WeightedTable: weights are not finite");
+    sums_.push_back(acc);
+  }
+}
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
@@ -46,12 +59,6 @@ std::uint64_t Rng::uniform(std::uint64_t bound) {
     const std::uint64_t r = next();
     if (r >= threshold) return r % bound;
   }
-}
-
-std::int64_t Rng::uniform_range(std::int64_t lo, std::int64_t hi) {
-  if (hi <= lo) return lo;
-  return lo + static_cast<std::int64_t>(
-                  uniform(static_cast<std::uint64_t>(hi - lo + 1)));
 }
 
 double Rng::uniform_double() {
@@ -90,25 +97,6 @@ double Rng::pareto(double lo, double hi, double alpha) {
   return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
 }
 
-std::size_t Rng::zipf(std::size_t n, double s) {
-  if (n == 0) return 0;
-  // Rejection-inversion would be faster for huge n; the corpus generator
-  // caches weights instead, so a simple CDF walk over a harmonic-ish tail
-  // approximation is adequate here.
-  double u = uniform_double();
-  // Normalizing constant approximated by the integral; exact for our use
-  // because we re-normalize through the final clamp.
-  double h = 0.0;
-  for (std::size_t i = 0; i < n; ++i) h += 1.0 / std::pow(double(i + 1), s);
-  double target = u * h;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += 1.0 / std::pow(double(i + 1), s);
-    if (acc >= target) return i;
-  }
-  return n - 1;
-}
-
 std::size_t Rng::weighted(std::span<const double> weights) {
   double total = 0.0;
   for (double w : weights) total += w;
@@ -120,6 +108,18 @@ std::size_t Rng::weighted(std::span<const double> weights) {
     if (acc >= target) return i;
   }
   return weights.size() - 1;
+}
+
+std::size_t Rng::weighted(const WeightedTable& table) {
+  const double total = table.total();
+  if (total <= 0.0) return 0;
+  const double target = uniform_double() * total;
+  // The sums never decrease, so the first one >= target is the index the
+  // span overload's walk stops at.
+  const std::span<const double> sums = table.sums();
+  const auto it = std::lower_bound(sums.begin(), sums.end(), target);
+  if (it == sums.end()) return sums.size() - 1;
+  return static_cast<std::size_t>(it - sums.begin());
 }
 
 Rng Rng::fork(std::uint64_t salt) {

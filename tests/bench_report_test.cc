@@ -201,7 +201,7 @@ TEST_F(BenchReportTest, ExtractorsReadTheCommittedBaselines) {
     return gate.metric(baseline(gate)).value_or(-1);
   };
   EXPECT_NEAR(metric(bench::kModelGate), 42'839.69, 0.005);
-  EXPECT_NEAR(metric(bench::kCorpusGate), 2'526.82, 0.005);
+  EXPECT_NEAR(metric(bench::kCorpusGate), 4'398.54, 0.005);
   EXPECT_EQ(baseline(bench::kCorpusGate)["eligible_sites"].double_or(0),
             31'538);
   EXPECT_DOUBLE_EQ(metric(bench::kFaultsGate), 220.32);

@@ -167,31 +167,86 @@ TEST_F(CrashResumeTest, KillResumeMatrixIsBitIdentical) {
   }
 }
 
-// Resume at every shard boundary: kill during shard k's build for each k,
-// resume, and verify exactly the k already-journaled shards are reused.
+// Resume at every shard boundary: kill during shard k's build for each k
+// — after its pages load, after it is encoded (the next shard's loads are
+// then in flight on the loader lane), or between its durable write and its
+// journal record — resume, and verify exactly the k already-journaled
+// shards are reused.
 TEST_F(CrashResumeTest, ResumeAtEveryShardBoundary) {
   dataset::Corpus corpus(corpus_options());
   const std::size_t total = shard_total(corpus);
   ASSERT_GE(total, 3u);
-  for (std::size_t boundary = 1; boundary <= total; ++boundary) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-      SCOPED_TRACE("boundary=" + std::to_string(boundary) +
-                   " threads=" + std::to_string(threads));
-      std::filesystem::remove_all(dir_);
+  for (const char* point :
+       {"generate.load", "generate.encode", "manifest.append"}) {
+    for (std::size_t boundary = 1; boundary <= total; ++boundary) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+        SCOPED_TRACE(std::string(point) + " boundary=" +
+                     std::to_string(boundary) +
+                     " threads=" + std::to_string(threads));
+        std::filesystem::remove_all(dir_);
 
-      util::crash::arm("generate.load", boundary, /*soft=*/true);
-      dataset::StreamingCorpus doomed(
-          corpus, streaming_options(dir_, threads, /*resume=*/false));
-      ASSERT_FALSE(doomed.generate().ok());
+        util::crash::arm(point, boundary, /*soft=*/true);
+        dataset::StreamingCorpus doomed(
+            corpus, streaming_options(dir_, threads, /*resume=*/false));
+        ASSERT_FALSE(doomed.generate().ok());
+        ASSERT_FALSE(util::crash::armed());
 
-      dataset::StreamingCorpus resumed(
-          corpus, streaming_options(dir_, threads, /*resume=*/true));
-      auto stats = resumed.run();
-      ASSERT_TRUE(stats.ok()) << stats.error().message;
-      expect_identical(baseline(), *stats);
-      EXPECT_EQ(resumed.recovery().shards_reused, boundary - 1);
-      EXPECT_EQ(resumed.recovery().manifest_records_replayed, boundary - 1);
-      EXPECT_EQ(resumed.recovery().shards_regenerated, 0u);
+        dataset::StreamingCorpus resumed(
+            corpus, streaming_options(dir_, threads, /*resume=*/true));
+        auto stats = resumed.run();
+        ASSERT_TRUE(stats.ok()) << stats.error().message;
+        expect_identical(baseline(), *stats);
+        EXPECT_EQ(resumed.recovery().shards_reused, boundary - 1);
+        EXPECT_EQ(resumed.recovery().manifest_records_replayed, boundary - 1);
+        EXPECT_EQ(resumed.recovery().shards_regenerated, 0u);
+        // Only a kill before the journal record leaves a committed file
+        // the journal does not vouch for; the resume sweeps it.
+        EXPECT_EQ(resumed.recovery().stale_shards_removed,
+                  std::string(point) == "manifest.append" ? 1u : 0u);
+      }
+    }
+  }
+}
+
+// Resume rebuilds exactly the shards whose files are gone, also when they
+// are not adjacent: the loader lane prefetches the next shard to build
+// across the reused shard between them, and the rebuilt shards are
+// byte-identical to the ones deleted.
+TEST_F(CrashResumeTest, ResumeRebuildsNonContiguousShards) {
+  dataset::Corpus corpus(corpus_options());
+  const std::size_t total = shard_total(corpus);
+  ASSERT_GE(total, 4u);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::filesystem::remove_all(dir_);
+
+    std::vector<std::uint64_t> crcs;
+    {
+      dataset::StreamingOptions options =
+          streaming_options(dir_, threads, /*resume=*/false);
+      options.keep_shards = true;
+      dataset::StreamingCorpus complete(corpus, options);
+      ASSERT_TRUE(complete.run().ok());
+      for (const dataset::ShardInfo& shard : complete.shards()) {
+        crcs.push_back(shard.content_crc64);
+      }
+    }
+    for (const std::size_t victim : {std::size_t{1}, std::size_t{3}}) {
+      ASSERT_TRUE(
+          std::filesystem::remove(dataset::shard_file_path(dir_, victim)));
+    }
+
+    dataset::StreamingCorpus resumed(
+        corpus, streaming_options(dir_, threads, /*resume=*/true));
+    auto stats = resumed.run();
+    ASSERT_TRUE(stats.ok()) << stats.error().message;
+    expect_identical(baseline(), *stats);
+    EXPECT_EQ(resumed.recovery().shards_regenerated, 2u);
+    EXPECT_EQ(resumed.recovery().shards_reused, total - 2);
+    EXPECT_EQ(resumed.recovery().shards_quarantined, 0u);
+    ASSERT_EQ(resumed.shards().size(), crcs.size());
+    for (std::size_t k = 0; k < crcs.size(); ++k) {
+      EXPECT_EQ(resumed.shards()[k].content_crc64, crcs[k]) << "shard " << k;
     }
   }
 }

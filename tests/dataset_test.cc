@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
+#include <string_view>
 
 #include "dataset/catalog.h"
 #include "dataset/collector.h"
 #include "dataset/generator.h"
+#include "util/fnv.h"
 
 namespace origin::dataset {
 namespace {
@@ -15,6 +18,85 @@ CorpusOptions small_options(std::size_t sites = 400, std::uint64_t seed = 7) {
   options.seed = seed;
   options.tail_service_count = 200;
   return options;
+}
+
+// FNV-1a over a stream of typed fields. Strings and lists carry their
+// length, so adjacent fields cannot trade bytes without changing the hash.
+struct FieldHash {
+  std::uint64_t h = util::kFnvOffset;
+
+  void u64(std::uint64_t value) { h = util::fnv1a64_mix(h, value); }
+  void f64(double value) { u64(std::bit_cast<std::uint64_t>(value)); }
+  void str(std::string_view text) {
+    u64(text.size());
+    h = util::fnv1a64(text, h);
+  }
+  template <typename Strings>
+  void strs(const Strings& texts) {
+    u64(texts.size());
+    for (const auto& text : texts) str(text);
+  }
+};
+
+// Everything the generator synthesizes for a corpus: every service of the
+// world (addresses, link, certificate), every SiteInfo field, and every
+// Resource field of every eligible site's page.
+std::uint64_t synthesis_digest(std::uint64_t seed, std::size_t threads) {
+  CorpusOptions options;
+  options.site_count = 2'000;
+  options.seed = seed;
+  options.threads = threads;
+  Corpus corpus(options);
+
+  FieldHash hash;
+  for (const browser::Service& service : corpus.env().services()) {
+    hash.str(service.name);
+    hash.u64(service.asn);
+    hash.str(service.provider);
+    hash.u64(service.addresses.size());
+    for (const dns::IpAddress& address : service.addresses) {
+      hash.u64(static_cast<std::uint64_t>(address.family));
+      hash.u64(address.value);
+    }
+    hash.strs(service.served_hostnames);
+    hash.f64(service.server_think_ms);
+    hash.u64(static_cast<std::uint64_t>(service.link.one_way.count_micros()));
+    hash.f64(service.link.bandwidth_bytes_per_sec);
+    const tls::Certificate& cert = *service.certificate;
+    hash.u64(cert.serial);
+    hash.str(cert.subject_common_name);
+    hash.str(cert.issuer);
+    hash.strs(cert.san_dns);
+  }
+  for (std::size_t i = 0; i < corpus.sites().size(); ++i) {
+    const SiteInfo& site = corpus.sites()[i];
+    hash.u64(site.rank);
+    hash.str(site.domain);
+    hash.str(site.provider);
+    hash.u64(site.crawl_succeeded ? 1 : 0);
+    hash.strs(site.shard_hostnames);
+    hash.strs(site.third_party_hosts);
+    hash.u64(site.page_seed);
+    if (!site.crawl_succeeded) continue;
+
+    const web::Webpage page = corpus.page_for_site(i);
+    hash.u64(page.tranco_rank);
+    hash.str(page.base_hostname);
+    hash.u64(page.resources.size());
+    for (const web::Resource& resource : page.resources) {
+      hash.str(resource.hostname);
+      hash.str(resource.path);
+      hash.u64(static_cast<std::uint64_t>(resource.content_type));
+      hash.u64(resource.size_bytes);
+      hash.u64(resource.secure ? 1 : 0);
+      hash.u64(static_cast<std::uint64_t>(resource.mode));
+      hash.u64(static_cast<std::uint64_t>(resource.version));
+      hash.u64(static_cast<std::uint64_t>(resource.recorded_version));
+      hash.u64(static_cast<std::uint64_t>(resource.parent));
+      hash.f64(resource.discovery_cpu_ms);
+    }
+  }
+  return hash.h;
 }
 
 TEST(Catalog, SharesAreSane) {
@@ -141,6 +223,27 @@ TEST(Corpus, SitesUsingFindsThirdPartyUsers) {
               hosts.end());
   }
   EXPECT_EQ(corpus.sites_using("cdnjs.cloudflare.com", 5).size(), 5u);
+}
+
+// The synthesized world itself, pinned ahead of page loading: the HAR
+// digests cover it only through the loader. Any change to a draw, its
+// order or its inputs moves these values; the corpus is bit-identical at
+// any thread count.
+TEST(Corpus, SynthesisDigestIsPinned) {
+  const struct {
+    std::uint64_t seed;
+    std::uint64_t digest;
+  } kPins[] = {
+      {42, 0xa2b2297b8866322fULL},
+      {7, 0xebba269479a7e4d1ULL},
+  };
+  for (const auto& pin : kPins) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("seed=" + std::to_string(pin.seed) +
+                   " threads=" + std::to_string(threads));
+      EXPECT_EQ(synthesis_digest(pin.seed, threads), pin.digest);
+    }
+  }
 }
 
 TEST(Corpus, SuccessRatesTrackTable1) {

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -87,18 +87,6 @@ TEST(Rng, UniformRespectsBound) {
   EXPECT_EQ(rng.uniform(0), 0u);
 }
 
-TEST(Rng, UniformRangeInclusive) {
-  Rng rng(7);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 500; ++i) {
-    auto v = rng.uniform_range(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 5u);  // all values hit
-}
-
 TEST(Rng, UniformDoubleInUnitInterval) {
   Rng rng(9);
   for (int i = 0; i < 1000; ++i) {
@@ -130,21 +118,87 @@ TEST(Rng, LognormalMedianIsExpMu) {
   EXPECT_NEAR(percentile(xs, 50), std::exp(1.0), 0.15);
 }
 
-TEST(Rng, ZipfFavorsLowRanks) {
-  Rng rng(17);
-  std::uint64_t first = 0, rest = 0;
-  for (int i = 0; i < 5000; ++i) {
-    (rng.zipf(100, 1.2) == 0 ? first : rest)++;
-  }
-  EXPECT_GT(first, 5000u / 10);  // rank 0 dominates
-}
-
 TEST(Rng, WeightedProportions) {
   Rng rng(19);
   const double weights[] = {1.0, 3.0};
   int hits[2] = {0, 0};
   for (int i = 0; i < 8000; ++i) hits[rng.weighted(weights)]++;
   EXPECT_NEAR(static_cast<double>(hits[1]) / 8000.0, 0.75, 0.03);
+}
+
+// Seeded weight vectors of 1 to 2,000 entries in the shapes a running-sum
+// search could get wrong: zeros anywhere, at either end, everywhere, a
+// single non-zero weight, and magnitudes from 1e-300 to 1e300.
+std::vector<std::vector<double>> weight_vectors() {
+  std::mt19937_64 gen(29);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_real_distribution<double> exponent(-300.0, 300.0);
+  const std::size_t kSizes[] = {1, 2, 3, 17, 250, 1'500, 2'000};
+  std::vector<std::vector<double>> vectors;
+  for (const std::size_t n : kSizes) {
+    for (int shape = 0; shape < 6; ++shape) {
+      std::vector<double> w(n);
+      for (double& x : w) x = unit(gen);
+      switch (shape) {
+        case 0:  // plain
+          break;
+        case 1:  // zeros scattered through
+          for (double& x : w) x = unit(gen) < 0.4 ? 0.0 : x;
+          break;
+        case 2:  // leading and trailing zeros
+          for (std::size_t i = 0; i < n; ++i) {
+            if (i < n / 3 || i >= n - n / 3) w[i] = 0.0;
+          }
+          break;
+        case 3:  // all zeros
+          std::fill(w.begin(), w.end(), 0.0);
+          break;
+        case 4:  // a single non-zero weight
+          std::fill(w.begin(), w.end(), 0.0);
+          w[gen() % n] = 0.5 + unit(gen);
+          break;
+        case 5:  // magnitudes spanning 1e-300..1e300, some zeros
+          for (double& x : w) {
+            x = unit(gen) < 0.1 ? 0.0 : std::pow(10.0, exponent(gen));
+          }
+          break;
+      }
+      vectors.push_back(std::move(w));
+    }
+  }
+  return vectors;
+}
+
+TEST(Rng, WeightedTableMatchesWeighted) {
+  std::uint64_t seed = 41;
+  for (const std::vector<double>& weights : weight_vectors()) {
+    SCOPED_TRACE("size=" + std::to_string(weights.size()) +
+                 " seed=" + std::to_string(seed));
+    const WeightedTable table(weights);
+    Rng by_span(seed);
+    Rng by_table(seed);
+    for (int draw = 0; draw < 10'000; ++draw) {
+      const std::size_t expected = by_span.weighted(weights);
+      const std::size_t actual = by_table.weighted(table);
+      ASSERT_EQ(actual, expected) << "draw " << draw;
+    }
+    // Same draws consumed: the streams are still in lockstep.
+    EXPECT_EQ(by_table.next(), by_span.next());
+    ++seed;
+  }
+  // The empty table draws nothing, like the empty span.
+  Rng by_span(3);
+  Rng by_table(3);
+  EXPECT_EQ(by_table.weighted(WeightedTable()),
+            by_span.weighted(std::span<const double>()));
+  EXPECT_EQ(by_table.next(), by_span.next());
+}
+
+TEST(Rng, WeightedTableRejectsNegativeAndNaNWeights) {
+  const double negative[] = {1.0, -0.5, 2.0};
+  const double nan[] = {1.0, std::nan(""), 2.0};
+  EXPECT_DEATH((void)WeightedTable(negative), "WeightedTable");
+  EXPECT_DEATH((void)WeightedTable(nan), "WeightedTable");
 }
 
 TEST(Rng, ParetoStaysInBounds) {
