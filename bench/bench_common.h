@@ -1,10 +1,11 @@
-// Shared helpers for the reproduction benches: flag parsing, corpus
-// construction, and headers. Every bench accepts:
+// Shared helpers for the benches: flag parsing, the collection
+// configuration and headers. Every bench accepts:
 //   --sites N   corpus size (default 20000 unless the bench sets its own;
 //               the paper crawled 315,796)
 //   --seed  S   corpus seed (default 42)
 //   --dir   D   spill directory, for the benches that spill shards
-// Defaults reproduce the committed EXPERIMENTS.md numbers exactly.
+// bench_paper's defaults reproduce the committed EXPERIMENTS.md numbers
+// exactly.
 #pragma once
 
 #include <sys/resource.h>
@@ -61,13 +62,6 @@ inline Args Args::parse(int argc, char** argv, Args defaults = {}) {
   return args;
 }
 
-inline dataset::Corpus make_corpus(const Args& args) {
-  dataset::CorpusOptions options;
-  options.site_count = args.sites;
-  options.seed = args.seed;
-  return dataset::Corpus(options);
-}
-
 // The Chrome-v88-equivalent collection configuration used for the §3
 // dataset (measured vantage).
 inline dataset::CollectOptions chrome_collect_options() {
@@ -79,11 +73,11 @@ inline dataset::CollectOptions chrome_collect_options() {
 }
 
 inline void print_header(const char* experiment, const char* paper_ref,
-                         const Args& args) {
-  std::printf("== %s ==\n", experiment);
-  std::printf("reproduces: %s\n", paper_ref);
-  std::printf("corpus: %zu sites, seed %llu (paper: 315,796 sites)\n\n",
-              args.sites, static_cast<unsigned long long>(args.seed));
+                         const Args& args, std::FILE* out = stdout) {
+  std::fprintf(out, "== %s ==\n", experiment);
+  std::fprintf(out, "reproduces: %s\n", paper_ref);
+  std::fprintf(out, "corpus: %zu sites, seed %llu (paper: 315,796 sites)\n\n",
+               args.sites, static_cast<unsigned long long>(args.seed));
 }
 
 }  // namespace origin::bench

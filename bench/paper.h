@@ -1,0 +1,18 @@
+// The paper's results in one run: Tables 1–9, Figs 1 and 3–9 and the §6
+// ablations, printed by bench_paper and pinned by
+// BenchPaper.OutputDigestIsPinned.
+#pragma once
+
+#include <cstdio>
+
+#include "bench_common.h"
+
+namespace origin::bench {
+
+// Prints every section to `out` in EXPERIMENTS.md order: the §3 dataset
+// tables, the §4 model and planner figures, the §5 deployment figures,
+// then the ablations. Deterministic for a given --sites/--seed at any
+// ORIGIN_THREADS.
+void print_paper(const Args& args, std::FILE* out);
+
+}  // namespace origin::bench

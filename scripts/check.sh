@@ -48,10 +48,13 @@
 #      lane + the non-contiguous resume, whose loader lane prefetches
 #      across a reused shard) with ORIGIN_THREADS=8, so every shard path
 #      and the lanes' error path run contended under the race detector
-#  11. perf: Release build of the perf + ablation benches; each makes its
-#      in-run checks, gates one metric against its committed BENCH_*.json
-#      at the repo root (the gate table in bench/report.h), refreshes that
-#      copy only on a passing run, and exits non-zero when either fails
+#  11. paper run + perf: Release build of bench_paper and the perf +
+#      ablation benches. bench_paper's default run must equal the committed
+#      bench_output.txt byte for byte (the Repro column of EXPERIMENTS.md
+#      quotes that file). Then each gated bench makes its in-run checks,
+#      gates one metric against its committed BENCH_*.json at the repo
+#      root (the gate table in bench/report.h), refreshes that copy only on
+#      a passing run, and exits non-zero when either fails
 #
 # Usage: scripts/check.sh [--quick]
 #   --quick   tier-1, perfbench tests and analyze only; skip the sanitizer
@@ -133,12 +136,14 @@ cmake --build build-tsan -j "$JOBS"
 ORIGIN_THREADS=8 ctest --test-dir build-tsan --output-on-failure \
   -R 'ThreadPool|PipelineDeterminism|FaultDeterminism|BitIdenticalAcrossThreadCounts|CrashResumeTest.KillResumeMatrixIsBitIdentical|CrashResumeTest.ResumeRebuildsNonContiguousShards'
 
-echo "==> [11/11] perf gates (Release benches, repo-root BENCH_*.json)"
+echo "==> [11/11] paper run + perf gates (Release, bench_output.txt + BENCH_*.json)"
 cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-perf -j "$JOBS" \
-  --target bench_perf_pipeline bench_perf_model bench_perf_corpus \
-           bench_ablation_overload bench_ablation_faults \
+  --target bench_paper bench_perf_pipeline bench_perf_model \
+           bench_perf_corpus bench_ablation_overload bench_ablation_faults \
            bench_ablation_crash
+./build-perf/bench/bench_paper > build-perf/bench_output.txt
+diff -u bench_output.txt build-perf/bench_output.txt
 ./build-perf/bench/bench_perf_pipeline
 ./build-perf/bench/bench_perf_model
 ./build-perf/bench/bench_perf_corpus

@@ -29,13 +29,4 @@ std::string IpAddress::to_string() const {
   return std::string(format(buffer));
 }
 
-const char* record_type_name(RecordType type) {
-  switch (type) {
-    case RecordType::kA: return "A";
-    case RecordType::kAAAA: return "AAAA";
-    case RecordType::kCNAME: return "CNAME";
-  }
-  return "?";
-}
-
 }  // namespace origin::dns

@@ -40,8 +40,6 @@ struct IpAddress {
 
 enum class RecordType : std::uint8_t { kA, kAAAA, kCNAME };
 
-const char* record_type_name(RecordType type);
-
 struct ResourceRecord {
   std::string name;
   RecordType type = RecordType::kA;

@@ -149,15 +149,6 @@ std::uint64_t PassivePipeline::new_connections_on_day(Treatment treatment,
   return count == nullptr ? 0 : *count;
 }
 
-std::vector<PassivePipeline::DayRow> PassivePipeline::day_connection_rows()
-    const {
-  std::vector<DayRow> rows;
-  for (const auto& [key, count] : day_connections_.sorted_items()) {
-    rows.push_back(DayRow{key.first, key.second, count});
-  }
-  return rows;
-}
-
 std::uint64_t PassivePipeline::coalesced_connections(
     Treatment treatment) const {
   origin::util::FlatSet<std::uint64_t> connections;

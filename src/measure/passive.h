@@ -77,14 +77,6 @@ class PassivePipeline {
   std::uint64_t new_connections(Treatment treatment) const;
   std::uint64_t new_connections_on_day(Treatment treatment,
                                        std::uint64_t day) const;
-  // Per-(treatment, day) connection counts sorted by key — the emit path
-  // for report tables, independent of observation order and thread count.
-  struct DayRow {
-    int treatment = 0;  // 0 control, 1 experiment
-    std::uint64_t day = 0;
-    std::uint64_t connections = 0;
-  };
-  std::vector<DayRow> day_connection_rows() const;
   // Coalesced connections counted by the flag-bit method: flagged requests
   // with arrival order >= 2, each connection counted once.
   std::uint64_t coalesced_connections(Treatment treatment) const;

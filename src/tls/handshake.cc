@@ -30,13 +30,4 @@ HandshakeResult simulate_handshake(const CertificateChain& chain,
   return result;
 }
 
-HandshakeResult simulate_resumption(const HandshakeParams& params) {
-  HandshakeResult result;
-  result.ok = true;
-  result.round_trips = 0;
-  result.tls_records = 0;
-  result.duration = params.crypto_cost * 0.25;
-  return result;
-}
-
 }  // namespace origin::tls

@@ -39,7 +39,4 @@ struct HandshakeResult {
 HandshakeResult simulate_handshake(const CertificateChain& chain,
                                    const HandshakeParams& params);
 
-// Cost of a TLS 1.3 0-RTT resumption (no certificate transfer).
-HandshakeResult simulate_resumption(const HandshakeParams& params);
-
 }  // namespace origin::tls

@@ -68,14 +68,6 @@ double Cdf::at(double x) const {
   return std::prev(it)->second;
 }
 
-double Cdf::quantile(double q) const {
-  if (points_.empty()) return 0.0;
-  for (const auto& [value, frac] : points_) {
-    if (frac >= q) return value;
-  }
-  return points_.back().first;
-}
-
 std::string Cdf::ascii(double lo, double hi, int width) const {
   std::string out;
   out.reserve(static_cast<std::size_t>(width));

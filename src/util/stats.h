@@ -38,8 +38,6 @@ class Cdf {
 
   // Fraction of samples <= x.
   double at(double x) const;
-  // Smallest sample value v with fraction(v) >= q (q in [0,1]).
-  double quantile(double q) const;
   std::size_t sample_count() const { return total_; }
   const std::vector<std::pair<double, double>>& points() const { return points_; }
 

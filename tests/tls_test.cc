@@ -215,13 +215,6 @@ TEST(Handshake, IntermediatesCountTowardChainSize) {
   EXPECT_GT(with_intermediate.chain_bytes, base.chain_bytes);
 }
 
-TEST(Handshake, ResumptionSkipsRtts) {
-  auto result = simulate_resumption(HandshakeParams{});
-  EXPECT_TRUE(result.ok);
-  EXPECT_EQ(result.round_trips, 0);
-  EXPECT_EQ(result.chain_bytes, 0u);
-}
-
 // Property sweep: round trips are monotonically non-decreasing in SAN count.
 class HandshakeSweep : public ::testing::TestWithParam<int> {};
 
