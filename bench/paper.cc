@@ -961,7 +961,7 @@ void cert_size_ablation(std::FILE* out) {
                          origin::util::SimTime::from_micros(0));
     tls::CertificateChain chain;
     chain.leaf = *cert;
-    auto result = tls::simulate_handshake(chain, tls::HandshakeParams{});
+    auto result = tls::simulate_handshake(chain);
     table.add_row({std::to_string(sans),
                    util::format_count(result.chain_bytes),
                    std::to_string(result.tls_records),

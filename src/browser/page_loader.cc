@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "tls/handshake.h"
+
 namespace origin::browser {
 
 using origin::util::Duration;
@@ -164,20 +166,14 @@ web::PageLoad PageLoader::load(const web::Webpage& page) {
     }
 
     // --- 3. 421 Misdirected Request -----------------------------------
-    if (chosen != nullptr && via_coalescing) {
-      const bool unreachable = !chosen->service->serves(res.hostname);
-      const bool random_misdirect =
-          options_.misdirected_rate > 0.0 &&
-          page_rng.bernoulli(options_.misdirected_rate);
-      if (unreachable || random_misdirect) {
-        // The optimistic request costs a full round trip before the client
-        // learns it must open its own connection (§2.2).
-        penalty = chosen->service->link.rtt() +
-                  Duration::millis(chosen->service->server_think_ms);
-        entry.status_421 = true;
-        ++race_stats_.misdirected_421;
-        chosen = nullptr;
-      }
+    if (chosen != nullptr && via_coalescing &&
+        !chosen->service->serves(res.hostname)) {
+      // The optimistic request costs a full round trip before the client
+      // learns it must open its own connection (§2.2).
+      penalty = chosen->service->link.rtt() +
+                Duration::millis(chosen->service->server_think_ms);
+      entry.status_421 = true;
+      chosen = nullptr;
     }
 
     // --- 4. new connection ---------------------------------------------
@@ -196,7 +192,6 @@ web::PageLoad PageLoader::load(const web::Webpage& page) {
       if (entry.new_dns_query &&
           page_rng.bernoulli(options_.happy_eyeballs_extra_dns)) {
         ++result.extra_dns_queries;
-        ++race_stats_.extra_dns_queries;
       }
 
       LiveConnection conn;
@@ -216,12 +211,12 @@ web::PageLoad PageLoader::load(const web::Webpage& page) {
       if (res.secure) {
         tls::CertificateChain chain;
         chain.leaf = *service->certificate;
-        auto handshake = tls::simulate_handshake(chain, options_.handshake);
+        auto handshake = tls::simulate_handshake(chain);
         // The handshake model reports round trips; price them at this
         // link's RTT. QUIC folds transport setup into the same flight.
         entry.timings.ssl =
             link.rtt() * static_cast<double>(handshake.round_trips) +
-            options_.handshake.crypto_cost;
+            tls::kCryptoCost;
         if (!handshake.ok) {
           // Oversized certificate: SSL protocol error, request dies.
           result.entries.push_back(std::move(entry));
@@ -241,7 +236,6 @@ web::PageLoad PageLoader::load(const web::Webpage& page) {
             page_rng.bernoulli(options_.speculative_extra_connection)) {
           entry.speculative_duplicate = true;
           ++result.extra_tls_connections;
-          ++race_stats_.extra_tls_connections;
         }
       }
 

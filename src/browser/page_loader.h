@@ -22,8 +22,6 @@
 #include "browser/environment.h"
 #include "browser/policy.h"
 #include "dns/resolver.h"
-#include "netsim/network.h"
-#include "tls/handshake.h"
 #include "util/rng.h"
 #include "web/har.h"
 #include "web/resource.h"
@@ -32,24 +30,16 @@ namespace origin::browser {
 
 struct LoaderOptions {
   std::string policy = "chromium-ip";  // see make_policy()
-  netsim::LinkParams link;
-  tls::HandshakeParams handshake;
   dns::Resolver::Params resolver;
   // Race-condition model (§4.2). Probabilities per *new-connection* event:
   double happy_eyeballs_extra_dns = 0.08;  // parallel AAAA/A double query
   double speculative_extra_connection = 0.05;  // duplicate socket, unused
-  // Per-request chance the client must fall back after a 421 (stale
-  // coalescing decision, e.g. resource moved off the socket).
-  double misdirected_rate = 0.0;
   std::uint64_t seed = 1;
   // First connection id this loader hands out. Sharded collection gives
   // every site's loader a disjoint id block so connection ids stay globally
   // unique (the passive pipeline dedups on them) AND identical to the
   // serial run — ids must never depend on which worker loaded a page first.
   std::uint64_t first_connection_id = 1;
-  // New browser session per page (paper method): fresh DNS cache, empty
-  // connection pool.
-  bool fresh_session = true;
   // Client tag the wire client connects under; middleboxes and the server's
   // per-client ORIGIN kill-switch key on it.
   std::string network_tag = "wire-client";
@@ -59,18 +49,10 @@ class PageLoader {
  public:
   PageLoader(Environment& env, LoaderOptions options);
 
-  // Loads one page; returns its timeline. Deterministic given (options.seed,
-  // page content, environment state).
+  // Loads one page in a new browser session (paper method: fresh DNS
+  // cache, empty connection pool) and returns its timeline. Deterministic
+  // given (options.seed, page content, environment state).
   web::PageLoad load(const web::Webpage& page);
-
-  // Counters across loads (speculative connections are not HAR entries but
-  // do cost the network real handshakes — §4.2).
-  struct RaceStats {
-    std::uint64_t extra_dns_queries = 0;
-    std::uint64_t extra_tls_connections = 0;
-    std::uint64_t misdirected_421 = 0;
-  };
-  const RaceStats& race_stats() const { return race_stats_; }
 
  private:
   struct LiveConnection {
@@ -84,7 +66,6 @@ class PageLoader {
   LoaderOptions options_;
   std::unique_ptr<CoalescingPolicy> policy_;
   origin::util::Rng rng_;
-  RaceStats race_stats_;
   std::uint64_t next_connection_id_;
 };
 

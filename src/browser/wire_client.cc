@@ -10,6 +10,23 @@ namespace origin::browser {
 
 using origin::util::Duration;
 
+namespace {
+
+// Retry backoff: initial * multiplier^(attempt-1), capped.
+constexpr Duration kBackoffInitial = Duration::millis(50);
+constexpr double kBackoffMultiplier = 2.0;
+constexpr Duration kBackoffCap = Duration::seconds(2);
+// Total retries one load may spend across all of its resources.
+constexpr int kRetryBudget = 16;
+// Attempts per resource (first try included).
+constexpr int kMaxAttemptsPerResource = 4;
+// Round trip each TLS handshake flight is priced at, also recorded as the
+// connect phase (a 15 ms one-way link). netsim times the TCP connect
+// itself over the server's own link.
+constexpr Duration kLinkRtt = Duration::millis(30);
+
+}  // namespace
+
 WireClient::WireClient(Environment& env, netsim::Network& network,
                        LoaderOptions options, DegradationOptions degradation)
     : env_(env),
@@ -30,7 +47,7 @@ void WireClient::load(const web::Webpage& page,
   state->outstanding_children.assign(page.resources.size(), 0);
   state->resource_done.assign(page.resources.size(), 0);
   state->attempts.assign(page.resources.size(), 0);
-  state->retry_budget_left = degradation_.retry_budget;
+  state->retry_budget_left = kRetryBudget;
   const std::uint64_t seed = resolver_seed_++;
   dns::Resolver::Params resolver_params = options_.resolver;
   if (auto* injector = network_.fault_injector()) {
@@ -108,7 +125,7 @@ bool WireClient::retry_resource(std::shared_ptr<LoadState> state,
   if (!degradation_.enabled || state->finished) return false;
   const auto idx = static_cast<std::size_t>(resource_index);
   if (state->resource_done[idx]) return false;
-  if (state->attempts[idx] + 1 >= degradation_.max_attempts_per_resource) {
+  if (state->attempts[idx] + 1 >= kMaxAttemptsPerResource) {
     return false;
   }
   if (state->retry_budget_left <= 0) {
@@ -118,11 +135,11 @@ bool WireClient::retry_resource(std::shared_ptr<LoadState> state,
   --state->retry_budget_left;
   const int attempt = ++state->attempts[idx];
   ++state->result.robustness.retries;
-  Duration backoff = degradation_.backoff_initial;
-  for (int i = 1; i < attempt && backoff < degradation_.backoff_cap; ++i) {
-    backoff = backoff * degradation_.backoff_multiplier;
+  Duration backoff = kBackoffInitial;
+  for (int i = 1; i < attempt && backoff < kBackoffCap; ++i) {
+    backoff = backoff * kBackoffMultiplier;
   }
-  backoff = std::min(backoff, degradation_.backoff_cap);
+  backoff = std::min(backoff, kBackoffCap);
   state->result.robustness.backoff_micros +=
       static_cast<std::uint64_t>(backoff.count_micros());
   // Retries go to a dedicated connection — same semantics as the 421
@@ -142,7 +159,7 @@ bool WireClient::redispatch_resource(std::shared_ptr<LoadState> state,
   if (state->finished) return false;
   const auto idx = static_cast<std::size_t>(resource_index);
   if (state->resource_done[idx]) return false;
-  if (state->attempts[idx] + 1 >= degradation_.max_attempts_per_resource) {
+  if (state->attempts[idx] + 1 >= kMaxAttemptsPerResource) {
     return false;
   }
   // A drain is not a failure: no retry budget, no backoff — but the
@@ -362,7 +379,7 @@ void WireClient::open_connection(std::shared_ptr<LoadState> state,
         }
         tls::CertificateChain chain;
         chain.leaf = *service->certificate;
-        auto handshake = tls::simulate_handshake(chain, options_.handshake);
+        auto handshake = tls::simulate_handshake(chain);
         if (!handshake.ok) {
           complete_resource(state, resource_index, false,
                             "ssl protocol error (oversized certificate)");
@@ -553,12 +570,11 @@ void WireClient::open_connection(std::shared_ptr<LoadState> state,
         state->pool.push_back(conn);
         // Delay the first request by the handshake cost beyond the TCP
         // round trip netsim already charged.
-        auto delay = options_.link.rtt() *
-                         static_cast<double>(handshake.round_trips) +
-                     options_.handshake.crypto_cost;
+        auto delay = kLinkRtt * static_cast<double>(handshake.round_trips) +
+                     tls::kCryptoCost;
         auto& handshake_entry =
             state->har.entries[static_cast<std::size_t>(resource_index)];
-        handshake_entry.timings.connect = options_.link.rtt();
+        handshake_entry.timings.connect = kLinkRtt;
         handshake_entry.timings.ssl = delay;
         network_.simulator().schedule(delay, [this, state, resource_index,
                                               conn]() {

@@ -51,14 +51,6 @@ struct DegradationOptions {
   // A submitted request without a terminal response by then is cancelled
   // with RST_STREAM(CANCEL) and retried.
   origin::util::Duration request_timeout = origin::util::Duration::seconds(10);
-  // Retry backoff: initial * multiplier^(attempt-1), capped.
-  origin::util::Duration backoff_initial = origin::util::Duration::millis(50);
-  double backoff_multiplier = 2.0;
-  origin::util::Duration backoff_cap = origin::util::Duration::seconds(2);
-  // Total retries one load may spend across all of its resources.
-  int retry_budget = 16;
-  // Attempts per resource (first try included).
-  int max_attempts_per_resource = 4;
   bool use_avoid_list = true;
   // Hard simulated wall-clock bound on the whole load.
   origin::util::Duration load_deadline = origin::util::Duration::seconds(60);
@@ -145,7 +137,7 @@ class WireClient {
   // (NO_ERROR drain) left unprocessed: the server promised it never
   // touched them, so replaying on another connection is always safe and
   // costs no retry budget or backoff. Works even with degradation off;
-  // still bounded by max_attempts_per_resource.
+  // still bounded by the per-resource attempt cap.
   bool redispatch_resource(std::shared_ptr<LoadState> state,
                            int resource_index);
   void add_avoid(std::shared_ptr<LoadState> state, const std::string& a,

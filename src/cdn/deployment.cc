@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "server/http2_server.h"
 #include "util/check.h"
 #include "util/fnv.h"
 #include "util/thread_pool.h"
@@ -19,31 +18,32 @@ namespace {
 const IpAddress kSharedAddress = IpAddress::v4(0x0AFE0001);
 // The isolated anycast prefix the §5.3 deployment moved the sample onto.
 const IpAddress kAnycastAddress = IpAddress::v4(0x0AFE0100);
+// §5.1: the domains most dependent on the third party, before dropping the
+// subpage-only ones.
+constexpr std::size_t kSampleSize = 5000;
+// Seeds group randomization and the longitudinal run's loader and churn
+// streams.
+constexpr std::uint64_t kSeed = 0xDEB10;
 
 }  // namespace
 
 Deployment::Deployment(dataset::Corpus& corpus, DeploymentOptions options)
-    : corpus_(corpus),
-      options_(std::move(options)),
-      rng_(options_.seed),
-      kill_switch_(options_.kill_switch),
-      admission_(options_.admission) {
+    : corpus_(corpus), options_(options), rng_(kSeed) {
   // A valid, unused domain with the same byte length as the third party
   // (Figure 6: both groups' certificates grow by identical byte counts).
   control_pad_ = "unusedpad.control.io";
-  while (control_pad_.size() < options_.third_party.size()) {
+  while (control_pad_.size() < third_party().size()) {
     control_pad_ += "x";
   }
-  control_pad_ = control_pad_.substr(0, options_.third_party.size());
-  ORIGIN_CHECK(control_pad_.size() == options_.third_party.size(),
+  control_pad_ = control_pad_.substr(0, third_party().size());
+  ORIGIN_CHECK(control_pad_.size() == third_party().size(),
                "control pad must match third-party length (Figure 6)");
 }
 
 std::size_t Deployment::prepare() {
   // §5.1: domains with the most requests to the third party. Rank order is
   // the request-volume proxy in the corpus.
-  auto candidates =
-      corpus_.sites_using(options_.third_party, options_.sample_size);
+  auto candidates = corpus_.sites_using(third_party(), kSampleSize);
   experiment_sites_.clear();
   control_sites_.clear();
   std::size_t subpage_only = 0;
@@ -56,7 +56,7 @@ std::size_t Deployment::prepare() {
     const bool root_page_uses_third_party = std::any_of(
         page.resources.begin(), page.resources.end(),
         [&](const web::Resource& r) {
-          return r.hostname == options_.third_party;
+          return r.hostname == third_party();
         });
     if (!root_page_uses_third_party) {
       ++subpage_only;
@@ -92,7 +92,7 @@ void Deployment::reissue_certificates() {
     }
   };
   for (std::size_t site : experiment_sites_) {
-    reissue(site, options_.third_party);
+    reissue(site, third_party());
   }
   for (std::size_t site : control_sites_) {
     reissue(site, control_pad_);
@@ -120,16 +120,16 @@ void Deployment::deploy_ip_coalescing() {
     }
     // Edge servers accept requests whose Host (third party) differs from
     // the SNI, passing domain-fronting checks (§5.2).
-    service->served_hostnames.insert(options_.third_party);
+    service->served_hostnames.insert(third_party());
   };
   for (std::size_t site : experiment_sites_) move_site(site);
   for (std::size_t site : control_sites_) move_site(site);
 
-  if (Service* tp = corpus_.env().find_service(options_.third_party)) {
-    if (!saved_addresses_.contains(options_.third_party)) {
-      saved_addresses_[options_.third_party] = tp->addresses;
+  if (Service* tp = corpus_.env().find_service(third_party())) {
+    if (!saved_addresses_.contains(third_party())) {
+      saved_addresses_[third_party()] = tp->addresses;
     }
-    corpus_.env().repoint_dns(options_.third_party, {kSharedAddress});
+    corpus_.env().repoint_dns(third_party(), {kSharedAddress});
   }
   ip_deployed_ = true;
 }
@@ -142,7 +142,7 @@ void Deployment::undo_ip_coalescing() {
   auto unshare = [&](std::size_t site_index) {
     Service* service = corpus_.service_for_site(site_index);
     if (service != nullptr) {
-      service->served_hostnames.erase(options_.third_party);
+      service->served_hostnames.erase(third_party());
     }
   };
   for (std::size_t site : experiment_sites_) unshare(site);
@@ -165,15 +165,15 @@ void Deployment::set_origin_frames(bool enabled) {
       }
       // The custom connection-terminating process can serve the third
       // party for the experiment group.
-      if (advertised == options_.third_party) {
-        service->served_hostnames.insert(options_.third_party);
+      if (advertised == third_party()) {
+        service->served_hostnames.insert(third_party());
       }
     } else {
-      service->served_hostnames.erase(options_.third_party);
+      service->served_hostnames.erase(third_party());
     }
   };
   for (std::size_t site : experiment_sites_) {
-    configure(site, options_.third_party);
+    configure(site, third_party());
   }
   for (std::size_t site : control_sites_) {
     configure(site, control_pad_);
@@ -230,7 +230,7 @@ Deployment::ActiveResult Deployment::run_active(const std::string& policy,
     // third party (switched to self-hosting the library) by visit time.
     if (churn_rng.bernoulli(options_.visit_churn)) {
       for (auto& resource : page.resources) {
-        if (resource.hostname == options_.third_party) {
+        if (resource.hostname == third_party()) {
           resource.hostname = page.base_hostname;
         }
       }
@@ -238,7 +238,7 @@ Deployment::ActiveResult Deployment::run_active(const std::string& policy,
     web::PageLoad load = loader.load(page);
     double new_connections = 0;
     for (const auto& entry : load.entries) {
-      if (entry.hostname != options_.third_party) continue;
+      if (entry.hostname != third_party()) continue;
       if (entry.new_tls_connection) new_connections += 1;
       if (entry.speculative_duplicate) new_connections += 1;
     }
@@ -320,7 +320,7 @@ Deployment::PassiveResult Deployment::run_passive_longitudinal(
       // Same resource-churn model as the active measurement.
       if (visit.churned) {
         for (auto& resource : page.resources) {
-          if (resource.hostname == options_.third_party) {
+          if (resource.hostname == third_party()) {
             resource.hostname = page.base_hostname;
           }
         }
@@ -340,33 +340,11 @@ Deployment::PassiveResult Deployment::run_passive_longitudinal(
     for (std::size_t k = 0; k < plan.size(); ++k) {
       observations.push_back({&loads[k], plan[k].treatment, day});
     }
-    result.pipeline.observe_batch(observations, options_.third_party,
+    result.pipeline.observe_batch(observations, third_party(),
                                   options_.threads);
   }
   if (deployed) undo_origin_frames();
   return result;
-}
-
-void Deployment::attach_kill_switch(server::Http2Server& server) {
-  server.set_origin_gate([this](const std::string& client_tag) {
-    return kill_switch_.should_send_origin(client_tag);
-  });
-  server.set_close_feedback([this](const std::string& client_tag,
-                                   bool origin_sent,
-                                   const std::string& reason) {
-    kill_switch_.record_outcome(client_tag, origin_sent,
-                                abnormal_close(reason));
-  });
-}
-
-void Deployment::attach_admission(server::Http2Server& server) {
-  server.set_admission_gate([this](const std::string& client_tag) {
-    return admission_.admit(client_tag);
-  });
-  server.set_admission_feedback(
-      [this](const std::string& client_tag, const std::string& reason) {
-        admission_.record_close(client_tag, reason);
-      });
 }
 
 }  // namespace origin::cdn

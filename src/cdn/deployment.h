@@ -23,8 +23,6 @@
 #include <vector>
 
 #include "browser/page_loader.h"
-#include "cdn/admission.h"
-#include "cdn/kill_switch.h"
 // The §5 deployment experiment orchestrates the corpus and the passive
 // pipeline end to end; it is the one sanctioned consumer of the
 // measurement layer from below.
@@ -34,20 +32,13 @@
 #include "measure/passive.h"
 #include "util/stats.h"
 
-namespace origin::server {
-class Http2Server;
-}  // namespace origin::server
-
 namespace origin::cdn {
 
 struct DeploymentOptions {
-  std::string third_party = "cdnjs.cloudflare.com";
-  std::size_t sample_size = 5000;
   // Per-visit probability that the site changed between sample selection
   // and measurement and no longer loads the third party from its main page
   // (the resource churn §5.3 blames for lower-than-expected coalescing).
   double visit_churn = 0.08;
-  std::uint64_t seed = 0xDEB10;
   // Worker threads for the longitudinal passive run's page loads. 0
   // resolves via ORIGIN_THREADS / hardware concurrency; 1 is the serial
   // fallback. Results are bit-identical at any thread count: churn draws
@@ -55,12 +46,6 @@ struct DeploymentOptions {
   // (seed and connection-id block derived from the global visit index), and
   // observation stays in visit order.
   std::size_t threads = 1;
-  // §6.7 safety valve: parameters for the per-client-tag ORIGIN
-  // kill-switch (see cdn/kill_switch.h).
-  KillSwitchOptions kill_switch;
-  // PoP overload protection: admission caps and the abuse greylist
-  // (see cdn/admission.h).
-  AdmissionOptions admission;
 };
 
 class Deployment {
@@ -69,7 +54,7 @@ class Deployment {
 
   // §5.1: pick candidates, drop subpage-only domains, randomize groups,
   // and reissue byte-equalized certificates. Returns sites actually
-  // enrolled (may be < sample_size at small corpus scales).
+  // enrolled (fewer than the 5000 candidates at small corpus scales).
   std::size_t prepare();
 
   void deploy_ip_coalescing();   // §5.2
@@ -112,24 +97,10 @@ class Deployment {
   }
   const std::string& control_pad_domain() const { return control_pad_; }
   std::size_t subpage_only_dropped() const { return subpage_only_dropped_; }
-  const std::string& third_party() const { return options_.third_party; }
-
-  // Wires this deployment's ORIGIN kill-switch into a wire-level server:
-  // the gate decides per accepted connection whether to advertise ORIGIN,
-  // and every close feeds the tag's teardown window. The deployment must
-  // outlive the server's use of these callbacks.
-  void attach_kill_switch(server::Http2Server& server);
-  OriginKillSwitch& kill_switch() { return kill_switch_; }
-  const OriginKillSwitch& kill_switch() const { return kill_switch_; }
-
-  // Wires this deployment's admission controller into a wire-level server:
-  // the gate sheds connection attempts at accept time (capacity caps and
-  // the per-tag abuse greylist), and every admitted close releases the
-  // slot and feeds the greylist window. The deployment must outlive the
-  // server's use of these callbacks.
-  void attach_admission(server::Http2Server& server);
-  AdmissionController& admission() { return admission_; }
-  const AdmissionController& admission() const { return admission_; }
+  // The corpus's third-party domain the experiment coalesces onto.
+  const std::string& third_party() const {
+    return corpus_.third_party_domain();
+  }
 
  private:
   void reissue_certificates();
@@ -146,8 +117,6 @@ class Deployment {
   std::size_t subpage_only_dropped_ = 0;
   bool ip_deployed_ = false;
   bool origin_deployed_ = false;
-  OriginKillSwitch kill_switch_;
-  AdmissionController admission_;
 };
 
 }  // namespace origin::cdn

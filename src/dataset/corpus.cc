@@ -289,12 +289,7 @@ void StreamingCorpus::build_eligible() {
 }
 
 std::size_t StreamingCorpus::resolved_per_shard() const {
-  std::size_t per_shard = options_.sites_per_shard;
-  if (options_.shard_count != 0) {
-    per_shard = (eligible_.size() + options_.shard_count - 1) /
-                options_.shard_count;
-  }
-  return std::max<std::size_t>(per_shard, 1);
+  return std::max<std::size_t>(options_.sites_per_shard, 1);
 }
 
 std::size_t StreamingCorpus::shard_site_count(std::size_t first_site) const {
@@ -304,8 +299,8 @@ std::size_t StreamingCorpus::shard_site_count(std::size_t first_site) const {
 std::uint64_t StreamingCorpus::config_digest() const {
   // Everything here changes the bytes of every shard, so a mismatch means
   // nothing in the old spill directory is reusable. Environment shape
-  // (link/handshake/resolver params) folds in through the corpus seed,
-  // which fixes the synthesized world those models act on.
+  // (service links, addresses, certificates) folds in through the corpus
+  // seed, which fixes the synthesized world the loader acts on.
   util::ByteWriter writer(128);
   writer.u64(corpus_.options().seed);
   writer.u64(eligible_.size());
@@ -316,8 +311,6 @@ std::uint64_t StreamingCorpus::config_digest() const {
   writer.u64(loader.first_connection_id);
   writer.u64(std::bit_cast<std::uint64_t>(loader.happy_eyeballs_extra_dns));
   writer.u64(std::bit_cast<std::uint64_t>(loader.speculative_extra_connection));
-  writer.u64(std::bit_cast<std::uint64_t>(loader.misdirected_rate));
-  writer.u8(loader.fresh_session ? 1 : 0);
   writer.raw(loader.network_tag);
   return util::crc64(writer.bytes());
 }

@@ -170,10 +170,8 @@ class ShardObserver {
 };
 
 struct StreamingOptions {
-  // Shard granularity: sites per shard, or an explicit shard count
-  // (shard_count != 0 wins and divides the eligible sites evenly).
+  // Shard granularity: sites per shard.
   std::size_t sites_per_shard = 4'096;
-  std::size_t shard_count = 0;
   // Worker threads for the per-shard load and model batches; above 1,
   // generate() also loads the next shard's pages on a background lane
   // while it encodes and commits the current one, and analyze() folds the

@@ -25,6 +25,20 @@ constexpr std::uint64_t kTrancoRange = 500'000;
 constexpr const char* kShardLabels[] = {"static", "img", "cdn", "assets",
                                         "media", "js"};
 
+// --- world shape (calibrated against the paper) ---------------------------
+// Probability a site certificate's second SAN is a wildcard covering its
+// shards (drives how many sites need zero cert changes, Fig. 5).
+constexpr double kWildcardProbability = 0.68;
+// Fraction of page requests that go to the site's own domain or shards.
+constexpr double kFirstPartyFractionMean = 0.42;
+// Median and log-space sigma of per-page third-party destination counts.
+constexpr double kThirdPartyServicesMedian = 17.0;
+constexpr double kThirdPartyServicesSigma = 1.0;
+// DNS answer rotation (defeats Chromium's connected-set match; §2.3) is
+// not drawn per service: build_popular_services gives every popular host a
+// sliding two-address window (dns::AnswerPolicy::kSubset), and every other
+// service answers with its fixed address list.
+
 netsim::LinkParams cdn_link(Rng& rng) {
   netsim::LinkParams link;
   link.one_way =
@@ -328,8 +342,8 @@ Corpus::SiteDraft Corpus::draft_site(std::size_t i, Rng site_rng) const {
     third_party_count = 1;
   } else {
     third_party_count = static_cast<std::size_t>(std::clamp(
-        site_rng.lognormal(std::log(options_.third_party_services_median),
-                           options_.third_party_services_sigma),
+        site_rng.lognormal(std::log(kThirdPartyServicesMedian),
+                           kThirdPartyServicesSigma),
         2.0, 80.0));
   }
   // Views into the destination tables, which are immutable by the time
@@ -377,7 +391,7 @@ Corpus::SiteDraft Corpus::draft_site(std::size_t i, Rng site_rng) const {
   // Certificate: SAN list built to the sampled target size.
   std::vector<std::string>& sans = draft.sans;
   const bool wildcard =
-      target >= 2 && site_rng.bernoulli(options_.wildcard_probability);
+      target >= 2 && site_rng.bernoulli(kWildcardProbability);
   if (target >= 1) sans.push_back(site.domain);
   if (target >= 2) {
     sans.push_back(wildcard ? "*." + site.domain : "www." + site.domain);
@@ -490,9 +504,8 @@ web::Webpage Corpus::page_for_site(std::size_t site_index) const {
   page.resources.reserve(1 + subresource_count);
   const double first_party_fraction =
       shard_farm ? 0.6
-                 : std::clamp(
-                       rng.normal(options_.first_party_fraction_mean, 0.15),
-                       0.05, 0.95);
+                 : std::clamp(rng.normal(kFirstPartyFractionMean, 0.15), 0.05,
+                              0.95);
   std::size_t shard_cursor = 0;
 
   // Per-host request-mode overrides: a developer who adds

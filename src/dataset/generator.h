@@ -38,19 +38,9 @@ struct CorpusOptions {
   std::size_t site_count = 20'000;
   std::uint64_t seed = 42;
 
-  // --- world-shape knobs (defaults calibrated against the paper) ---------
-  // Probability a site certificate's second SAN is a wildcard covering its
-  // shards (drives how many sites need zero cert changes, Fig. 5).
-  double wildcard_probability = 0.68;
-  // Fraction of page requests that go to the site's own domain or shards.
-  double first_party_fraction_mean = 0.42;
-  // Mean/median ratio of per-page third-party destination counts.
-  double third_party_services_median = 17.0;
-  double third_party_services_sigma = 1.0;
-  // Probability a multi-address service's DNS rotates answers (defeats
-  // Chromium's connected-set match; §2.3).
-  double dns_rotation_probability = 0.45;
-  // Number of distinct long-tail third-party services in the world.
+  // Number of distinct long-tail third-party services in the world. The
+  // other world-shape values are constants in generator.cc, calibrated
+  // against the paper.
   std::size_t tail_service_count = 1'500;
 
   // Worker threads for the per-site sampling phase. 0 resolves via

@@ -6,6 +6,19 @@
 
 namespace origin::dns {
 
+namespace {
+
+constexpr origin::util::Duration kCacheHitLatency =
+    origin::util::Duration::micros(100);
+// Sigma of the lognormal jitter that scales Params::recursive_base.
+constexpr double kJitterSigma = 0.6;
+constexpr int kMaxCnameDepth = 8;
+// How long an injected upstream timeout holds the query.
+constexpr origin::util::Duration kFaultTimeoutLatency =
+    origin::util::Duration::seconds(5);
+
+}  // namespace
+
 Resolver::Resolver(AuthoritativeDns& upstream, Params params,
                    std::uint64_t seed)
     : upstream_(upstream),
@@ -27,7 +40,7 @@ Answer Resolver::resolve(const std::string& name, Family family,
     answer.canonical_name = it->second.canonical_name;
     answer.ttl_seconds = it->second.ttl_seconds;
     answer.from_cache = true;
-    answer.latency = params_.cache_hit_latency;
+    answer.latency = kCacheHitLatency;
     return answer;
   }
 
@@ -49,13 +62,13 @@ Answer Resolver::resolve(const std::string& name, Family family,
       // SERVFAIL comes back about as fast as a real answer; not cached, so
       // a backoff retry gets a fresh roll.
       answer.latency =
-          params_.recursive_base * rng_.lognormal(0.0, params_.jitter_sigma);
+          params_.recursive_base * rng_.lognormal(0.0, kJitterSigma);
       return answer;
     }
     if (r < params_.fault_servfail_rate + params_.fault_timeout_rate) {
       ++stats_.injected_timeouts;
       answer.injected_fault = true;
-      answer.latency = params_.fault_timeout_latency;
+      answer.latency = kFaultTimeoutLatency;
       return answer;
     }
   }
@@ -65,7 +78,7 @@ Answer Resolver::resolve(const std::string& name, Family family,
   std::string current = name;
   std::uint32_t min_ttl = 0xffffffffu;
   std::vector<IpAddress> addresses;
-  for (int depth = 0; depth < params_.max_cname_depth; ++depth) {
+  for (int depth = 0; depth < kMaxCnameDepth; ++depth) {
     // Rotation position is a pure function of (resolver seed, name, how
     // often THIS resolver asked): load-balanced answer sets stay diverse
     // across pages yet independent of global query order.
@@ -91,8 +104,7 @@ Answer Resolver::resolve(const std::string& name, Family family,
   answer.addresses = std::move(addresses);
   answer.canonical_name = current;
   answer.ttl_seconds = answer.ok ? min_ttl : 30;  // negative-cache 30s
-  answer.latency =
-      params_.recursive_base * rng_.lognormal(0.0, params_.jitter_sigma);
+  answer.latency = params_.recursive_base * rng_.lognormal(0.0, kJitterSigma);
   if (!answer.ok) ++stats_.nxdomain;
 
   CacheEntry entry;

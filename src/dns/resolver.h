@@ -48,12 +48,9 @@ struct Answer {
 class Resolver {
  public:
   struct Params {
-    origin::util::Duration cache_hit_latency = origin::util::Duration::micros(100);
-    // Recursive resolution latency: base + lognormal jitter.
+    // Recursive resolution latency: base scaled by lognormal jitter.
     origin::util::Duration recursive_base = origin::util::Duration::millis(12);
-    double jitter_sigma = 0.6;
     Transport transport = Transport::kDo53;
-    int max_cname_depth = 8;
     // Deterministic fault injection: each upstream query rolls a hash of
     // (fault_seed, name, per-name attempt index) against these rates —
     // mirroring netsim::FaultConfig's dns_* knobs without a dependency on
@@ -62,21 +59,19 @@ class Resolver {
     double fault_servfail_rate = 0.0;
     double fault_timeout_rate = 0.0;
     std::uint64_t fault_seed = 0;
-    origin::util::Duration fault_timeout_latency =
-        origin::util::Duration::seconds(5);
   };
 
-  // Resolvers are per-page (fresh_session) and the page seed determines
-  // which rotated DNS answer window the page sees: rotation is derived from
-  // (seed, name) rather than from a shared zone counter, so concurrent page
-  // loads get the same answers they would get serially, in any order.
+  // Each page load builds its own resolver (a new browser session per
+  // page), and the page seed determines which rotated DNS answer window the
+  // page sees: rotation is derived from (seed, name) rather than from a
+  // shared zone counter, so concurrent page loads get the same answers they
+  // would get serially, in any order.
   Resolver(AuthoritativeDns& upstream, Params params, std::uint64_t seed);
 
   // Resolves `name` to addresses of `family` at simulated time `now`.
   Answer resolve(const std::string& name, Family family,
                  origin::util::SimTime now);
 
-  void flush_cache() { cache_.clear(); }
   const ResolverStats& stats() const { return stats_; }
   Transport transport() const { return params_.transport; }
 

@@ -12,6 +12,31 @@ using origin::util::Bytes;
 using origin::util::make_error;
 using origin::util::Result;
 
+namespace {
+
+// Sending rounds after the connect; bounded so run_until_idle terminates
+// even when the server never sheds the client.
+constexpr std::size_t kBursts = 8;
+// Header bomb: bytes of literal header value per HEADERS+CONTINUATION
+// round.
+constexpr std::size_t kBombBytes = 64 * 1024;
+// Slowloris: preface bytes trickled one per interval, then silence. Six
+// bytes never completes the 24-byte client preface.
+constexpr std::size_t kTrickleBytes = 6;
+constexpr origin::util::Duration kTrickleInterval =
+    origin::util::Duration::seconds(2);
+// How long a burst client lingers after its last round before closing
+// itself. netsim drops in-flight bytes once either side tears down, so a
+// client that hangs up right after its final send would un-deliver its
+// own attack; the linger must exceed the link's one-way latency plus
+// transfer time for the last burst to land (and gives the server's shed
+// GOAWAY time to arrive).
+constexpr origin::util::Duration kLinger = origin::util::Duration::millis(250);
+// :authority for generated requests (rapid reset / header bomb).
+constexpr const char* kAuthority = "www.site.com";
+
+}  // namespace
+
 const char* abuse_kind_name(AbuseKind kind) {
   switch (kind) {
     case AbuseKind::kRapidReset: return "rapid_reset";
@@ -185,7 +210,7 @@ Bytes AbusiveClient::burst_bytes(std::size_t round) {
         headers.header_block = encoder_.encode(
             {{":method", "GET"},
              {":scheme", "https"},
-             {":authority", options_.authority},
+             {":authority", kAuthority},
              {":path", "/reset/" + std::to_string(round) + "/" +
                            std::to_string(i)}});
         append(Frame{std::move(headers)});
@@ -200,14 +225,14 @@ Bytes AbusiveClient::burst_bytes(std::size_t round) {
       // One request whose cookie header dwarfs any sane header budget;
       // split across CONTINUATION frames like a real oversized block.
       const std::uint32_t id = open_stream_id();
-      std::string bomb(options_.bomb_bytes, 'x');
+      std::string bomb(kBombBytes, 'x');
       // Seed-dependent sprinkle keeps blocks distinct across clients.
       bomb[bomb.size() / 2] =
           static_cast<char>('a' + (origin::util::fnv1a64_mix(seed_, round) %
                                    26));
       Bytes block = encoder_.encode({{":method", "GET"},
                                      {":scheme", "https"},
-                                     {":authority", options_.authority},
+                                     {":authority", kAuthority},
                                      {":path", "/bomb"},
                                      {"cookie", bomb}});
       // Chunks must fit the default SETTINGS_MAX_FRAME_SIZE (16384): the
@@ -261,11 +286,11 @@ Bytes AbusiveClient::burst_bytes(std::size_t round) {
 
 void AbusiveClient::run_burst(std::size_t round) {
   if (closed_ || !endpoint_.open()) return;
-  if (round >= options_.bursts) {
+  if (round >= kBursts) {
     // Budget spent. Linger before hanging up: closing immediately would
     // drop our own in-flight bytes (netsim discards deliveries to a torn-
     // down connection), and the server's shed GOAWAY needs time to land.
-    network_.simulator().schedule(options_.linger, [this]() {
+    network_.simulator().schedule(kLinger, [this]() {
       if (closed_ || !endpoint_.open()) return;
       endpoint_.close("abuse: schedule complete");
     });
@@ -278,11 +303,11 @@ void AbusiveClient::run_burst(std::size_t round) {
 
 void AbusiveClient::run_trickle(std::size_t sent) {
   if (closed_ || !endpoint_.open()) return;
-  if (sent >= options_.trickle_bytes) return;  // stall forever from here on
+  if (sent >= kTrickleBytes) return;  // stall forever from here on
   Bytes byte;
   byte.push_back(static_cast<std::uint8_t>(kClientPreface[sent]));
   endpoint_.send(std::move(byte));
-  network_.simulator().schedule(options_.trickle_interval,
+  network_.simulator().schedule(kTrickleInterval,
                                 [this, sent]() { run_trickle(sent + 1); });
 }
 

@@ -75,28 +75,9 @@ struct AbuseMix {
 };
 
 struct AbusiveClientOptions {
-  // Sending rounds after the connect; bounded so run_until_idle terminates
-  // even when the server never sheds the client.
-  std::size_t bursts = 8;
   // Frames emitted per round (pairs count as two for rapid reset).
   std::size_t frames_per_burst = 64;
   origin::util::Duration burst_interval = origin::util::Duration::millis(5);
-  // Header bomb: bytes of literal header value per HEADERS+CONTINUATION
-  // round.
-  std::size_t bomb_bytes = 64 * 1024;
-  // Slowloris: preface bytes trickled one per interval, then silence. Six
-  // bytes never completes the 24-byte client preface.
-  std::size_t trickle_bytes = 6;
-  origin::util::Duration trickle_interval = origin::util::Duration::seconds(2);
-  // How long a burst client lingers after its last round before closing
-  // itself. netsim drops in-flight bytes once either side tears down, so a
-  // client that hangs up right after its final send would un-deliver its
-  // own attack; the linger must exceed the link's one-way latency plus
-  // transfer time for the last burst to land (and gives the server's shed
-  // GOAWAY time to arrive).
-  origin::util::Duration linger = origin::util::Duration::millis(250);
-  // :authority for generated requests (rapid reset / header bomb).
-  std::string authority = "www.site.com";
 };
 
 // One reproducible attacker. `start()` connects under the client tag

@@ -192,18 +192,6 @@ Status Connection::submit_secondary_certificate(
   return {};
 }
 
-Status Connection::submit_altsvc(std::uint32_t stream_id,
-                                 const std::string& origin,
-                                 const std::string& field_value) {
-  if (role_ != Role::kServer) return make_error("h2: ALTSVC is server-only");
-  AltSvcFrame frame;
-  frame.stream_id = stream_id;
-  frame.origin = origin;
-  frame.field_value = field_value;
-  enqueue(Frame{std::move(frame)});
-  return {};
-}
-
 void Connection::submit_ping(std::uint64_t opaque) {
   PingFrame frame;
   frame.opaque = opaque;

@@ -89,10 +89,6 @@ class Connection {
   [[nodiscard]] origin::util::Status submit_secondary_certificate(
       const tls::Certificate& cert);
 
-  [[nodiscard]] origin::util::Status submit_altsvc(std::uint32_t stream_id,
-                                     const std::string& origin,
-                                     const std::string& field_value);
-
   void submit_ping(std::uint64_t opaque);
   void submit_goaway(ErrorCode error, const std::string& debug);
   [[nodiscard]] origin::util::Status submit_rst_stream(std::uint32_t stream_id,

@@ -158,8 +158,10 @@ class CoalescingModel {
       std::size_t threads = 1) const;
 
   // Fused analyze+reconstruct per page: no retained PageAnalysis vector,
-  // one scratch pass per load. The corpus-replay fast path measured by
-  // bench_perf_model.
+  // one scratch pass per load. Only bench_perf_model (its gated metric) and
+  // tests call it: the corpus pipeline (StreamingCorpus::analyze,
+  // run_materialized) aggregates every PageAnalysis, so it runs
+  // analyze_batch + reconstruct_batch.
   std::vector<web::PageLoad> replay_batch(
       const std::vector<web::PageLoad>& loads,
       const std::string& restrict_to_group = "",

@@ -2,30 +2,37 @@
 
 namespace origin::tls {
 
-HandshakeResult simulate_handshake(const CertificateChain& chain,
-                                   const HandshakeParams& params) {
+namespace {
+
+// Server initial congestion window in bytes (10 segments of ~1460B).
+constexpr std::size_t kInitCwndBytes = 14600;
+constexpr std::size_t kTlsRecordLimit = 16384;
+// Chains at/above this size abort with an SSL protocol error in browsers.
+constexpr std::size_t kBrowserChainLimit = 262144;
+
+}  // namespace
+
+HandshakeResult simulate_handshake(const CertificateChain& chain) {
   HandshakeResult result;
   result.chain_bytes = chain.total_size_bytes();
-  if (result.chain_bytes >= params.browser_chain_limit) {
+  if (result.chain_bytes >= kBrowserChainLimit) {
     // SSL protocol error surfaced to the user; no connection.
     result.ok = false;
-    result.duration = params.rtt;  // time wasted before the failure
+    result.duration = kHandshakeRtt;  // time wasted before the failure
     result.round_trips = 1;
     return result;
   }
   result.tls_records = static_cast<int>(
-      (result.chain_bytes + params.tls_record_limit - 1) /
-      params.tls_record_limit);
+      (result.chain_bytes + kTlsRecordLimit - 1) / kTlsRecordLimit);
   // 1 RTT baseline; every additional cwnd of certificate bytes costs one
   // more RTT while the client waits for the rest of the flight.
   int extra_rtts = 0;
-  if (result.chain_bytes > params.init_cwnd_bytes) {
-    extra_rtts = static_cast<int>((result.chain_bytes - 1) /
-                                  params.init_cwnd_bytes);
+  if (result.chain_bytes > kInitCwndBytes) {
+    extra_rtts = static_cast<int>((result.chain_bytes - 1) / kInitCwndBytes);
   }
   result.round_trips = 1 + extra_rtts;
   result.duration =
-      params.rtt * static_cast<double>(result.round_trips) + params.crypto_cost;
+      kHandshakeRtt * static_cast<double>(result.round_trips) + kCryptoCost;
   result.ok = true;
   return result;
 }

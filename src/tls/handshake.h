@@ -16,16 +16,12 @@
 
 namespace origin::tls {
 
-struct HandshakeParams {
-  origin::util::Duration rtt = origin::util::Duration::millis(30);
-  // Server initial congestion window in bytes (10 segments of ~1460B).
-  std::size_t init_cwnd_bytes = 14600;
-  std::size_t tls_record_limit = 16384;
-  // Chains at/above this size abort with an SSL protocol error in browsers.
-  std::size_t browser_chain_limit = 262144;
-  // Fixed crypto compute per handshake (key exchange + signature verify).
-  origin::util::Duration crypto_cost = origin::util::Duration::millis(1.0);
-};
+// Round trip the model prices each handshake flight at.
+inline constexpr origin::util::Duration kHandshakeRtt =
+    origin::util::Duration::millis(30);
+// Fixed crypto compute per handshake (key exchange + signature verify).
+inline constexpr origin::util::Duration kCryptoCost =
+    origin::util::Duration::millis(1.0);
 
 struct HandshakeResult {
   bool ok = false;
@@ -36,7 +32,6 @@ struct HandshakeResult {
 };
 
 // Cost of a full TLS 1.3 handshake presenting `chain`.
-HandshakeResult simulate_handshake(const CertificateChain& chain,
-                                   const HandshakeParams& params);
+HandshakeResult simulate_handshake(const CertificateChain& chain);
 
 }  // namespace origin::tls

@@ -14,13 +14,12 @@
 //     identical across runs and platforms, unlike std::unordered_map whose
 //     order is implementation-defined. But the insertion sequence itself
 //     varies with thread count, so anything feeding report or
-//     serialization output must go through sorted_items()/sorted_keys()
+//     serialization output must copy the entries out and sort them first
 //     (or stay on std::map — see the waivers of the analyzer's
 //     no-string-keyed-tree rule). The det-unordered-iter analyze pass
 //     enforces this.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -142,18 +141,6 @@ class FlatMap {
     return {slots_.data() + slots_.size(), slots_.data() + slots_.size()};
   }
 
-  // The sanctioned emit path: copies the table out and sorts by key, so
-  // the result is independent of insertion order (and therefore of thread
-  // count). Emitters iterate this, never the raw table.
-  std::vector<std::pair<Key, Value>> sorted_items() const {
-    std::vector<std::pair<Key, Value>> items;
-    items.reserve(size_);
-    for (const auto& item : *this) items.emplace_back(item.first, item.second);
-    std::sort(items.begin(), items.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    return items;
-  }
-
  private:
   static constexpr std::size_t kMinCapacity = 16;
 
@@ -217,20 +204,11 @@ class FlatSet {
   }
 
   // Visits keys in table order — fine for commutative folds, never for
-  // output (use sorted_keys() there).
+  // output (sort the keys first there).
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    // analyze:allow(det-unordered-iter): own storage; emit via sorted_keys
+    // analyze:allow(det-unordered-iter): own storage; callers sort to emit
     for (const auto& item : map_) fn(item.first);
-  }
-
-  // The sanctioned emit path, mirroring FlatMap::sorted_items().
-  std::vector<Key> sorted_keys() const {
-    std::vector<Key> keys;
-    keys.reserve(map_.size());
-    for_each([&keys](const Key& key) { keys.push_back(key); });
-    std::sort(keys.begin(), keys.end());
-    return keys;
   }
 
  private:

@@ -250,17 +250,6 @@ TEST(ResolverTest, PlaintextExposureTracking) {
   EXPECT_EQ(doh.stats().plaintext_exposures, 0u);
 }
 
-TEST(ResolverTest, FlushCacheForcesRecursion) {
-  AuthoritativeDns dns;
-  dns.add_zone("example.com").add_a("www.example.com", IpAddress::v4(1));
-  Resolver resolver(dns, Resolver::Params{}, 1);
-  (void)resolver.resolve("www.example.com", Family::kV4, t(0));
-  resolver.flush_cache();
-  auto answer = resolver.resolve("www.example.com", Family::kV4, t(1));
-  EXPECT_FALSE(answer.from_cache);
-  EXPECT_EQ(resolver.stats().recursive_queries, 2u);
-}
-
 TEST(ResolverTest, MultipleAddressesReturned) {
   AuthoritativeDns dns;
   auto& zone = dns.add_zone("cdn.example");

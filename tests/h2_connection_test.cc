@@ -314,8 +314,10 @@ TEST(H2Connection, AltSvcDelivered) {
   ConnectionCallbacks ccb;
   ccb.on_altsvc = [&](const AltSvcFrame& f) { got = f; };
   p.client.set_callbacks(std::move(ccb));
-  ASSERT_TRUE(p.server.submit_altsvc(0, "https://example.com", "h3=\":443\"").ok());
-  pump(p.client, p.server);
+  AltSvcFrame frame;
+  frame.origin = "https://example.com";
+  frame.field_value = "h3=\":443\"";
+  ASSERT_TRUE(p.client.receive(serialize_frame(Frame{frame})).ok());
   EXPECT_EQ(got.origin, "https://example.com");
 }
 

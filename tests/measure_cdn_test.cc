@@ -5,9 +5,6 @@
 #include "dataset/generator.h"
 #include "measure/passive.h"
 #include "measure/reports.h"
-#include "netsim/network.h"
-#include "netsim/simulator.h"
-#include "server/http2_server.h"
 
 namespace origin {
 namespace {
@@ -228,53 +225,6 @@ TEST_F(DeploymentTest, PassiveLongitudinalShowsWindowedReduction) {
   EXPECT_GT(out_exp, 0u);
   EXPECT_LT(static_cast<double>(in_exp),
             0.8 * static_cast<double>(in_ctrl));
-}
-
-TEST_F(DeploymentTest, AttachAdmissionGatesWireConnections) {
-  // The PoP-level wiring: the deployment's admission controller sheds
-  // connection attempts past the capacity cap at accept time, and admitted
-  // closes release their slot back through the feedback callback.
-  cdn::DeploymentOptions options = opts();
-  options.admission.max_sessions = 1;
-  cdn::Deployment deployment(corpus_, std::move(options));
-
-  netsim::Simulator sim;
-  netsim::Network net(sim);
-  server::Http2Server server;
-  const dns::IpAddress addr = dns::IpAddress::v4(0x0A0000FE);
-  server.listen(net, addr);
-  deployment.attach_admission(server);
-
-  netsim::TcpEndpoint first;
-  netsim::TcpEndpoint second;
-  bool second_open_on_arrival = true;
-  std::string second_close;
-  net.connect("tag-a", addr,
-              [&](origin::util::Result<netsim::TcpEndpoint> endpoint) {
-                ASSERT_TRUE(endpoint.ok());
-                first = *endpoint;
-              });
-  // The shed happens at accept time, before the client callback runs: the
-  // endpoint arrives already closed and the reason follows via on_close.
-  net.connect("tag-b", addr,
-              [&](origin::util::Result<netsim::TcpEndpoint> endpoint) {
-                ASSERT_TRUE(endpoint.ok());
-                second = *endpoint;
-                second_open_on_arrival = second.open();
-                second.set_on_close(
-                    [&](const std::string& reason) { second_close = reason; });
-              });
-  sim.run_until_idle();
-
-  EXPECT_FALSE(second_open_on_arrival);
-  EXPECT_EQ(second_close, "admission: at capacity");
-  EXPECT_EQ(deployment.admission().active_sessions(), 1u);
-  EXPECT_EQ(deployment.admission().rejected(), 1u);
-  EXPECT_EQ(server.stats().admission_rejections, 1u);
-
-  first.close("client done");
-  sim.run_until_idle();
-  EXPECT_EQ(deployment.admission().active_sessions(), 0u);
 }
 
 }  // namespace

@@ -461,6 +461,58 @@ TEST(Admission, AtCapacityShedsExcessConnectionsOnTheWire) {
   EXPECT_EQ(world.close_reason_count("admission: at capacity"), 1u);
 }
 
+TEST(Admission, CapacityGateShedsAtAcceptAndCloseFreesTheSlot) {
+  // The PoP-level wiring: the admission controller sheds connection
+  // attempts past the capacity cap at accept time, and admitted closes
+  // release their slot back through the feedback callback.
+  cdn::AdmissionOptions options;
+  options.max_sessions = 1;
+  cdn::AdmissionController admission(options);
+
+  netsim::Simulator sim;
+  netsim::Network net(sim);
+  server::Http2Server server;
+  const dns::IpAddress addr = dns::IpAddress::v4(0x0A0000FE);
+  server.listen(net, addr);
+  server.set_admission_gate(
+      [&admission](const std::string& tag) { return admission.admit(tag); });
+  server.set_admission_feedback(
+      [&admission](const std::string& tag, const std::string& reason) {
+        admission.record_close(tag, reason);
+      });
+
+  netsim::TcpEndpoint first;
+  netsim::TcpEndpoint second;
+  bool second_open_on_arrival = true;
+  std::string second_close;
+  net.connect("tag-a", addr,
+              [&](origin::util::Result<netsim::TcpEndpoint> endpoint) {
+                ASSERT_TRUE(endpoint.ok());
+                first = *endpoint;
+              });
+  // The shed happens at accept time, before the client callback runs: the
+  // endpoint arrives already closed and the reason follows via on_close.
+  net.connect("tag-b", addr,
+              [&](origin::util::Result<netsim::TcpEndpoint> endpoint) {
+                ASSERT_TRUE(endpoint.ok());
+                second = *endpoint;
+                second_open_on_arrival = second.open();
+                second.set_on_close(
+                    [&](const std::string& reason) { second_close = reason; });
+              });
+  sim.run_until_idle();
+
+  EXPECT_FALSE(second_open_on_arrival);
+  EXPECT_EQ(second_close, "admission: at capacity");
+  EXPECT_EQ(admission.active_sessions(), 1u);
+  EXPECT_EQ(admission.rejected(), 1u);
+  EXPECT_EQ(server.stats().admission_rejections, 1u);
+
+  first.close("client done");
+  sim.run_until_idle();
+  EXPECT_EQ(admission.active_sessions(), 0u);
+}
+
 // --- GOAWAY graceful drain -------------------------------------------------
 
 // Arms a one-shot trigger that calls begin_drain as soon as the server has

@@ -168,13 +168,11 @@ TEST(Handshake, SmallChainIsOneRtt) {
   CertificateAuthority ca("CA", 10);
   CertificateChain chain;
   chain.leaf = *ca.issue("a.com", {"a.com", "www.a.com"}, t0());
-  HandshakeParams params;
-  auto result = simulate_handshake(chain, params);
+  auto result = simulate_handshake(chain);
   EXPECT_TRUE(result.ok);
   EXPECT_EQ(result.round_trips, 1);
   EXPECT_EQ(result.tls_records, 1);
-  EXPECT_GT(result.duration.count_micros(),
-            params.rtt.count_micros());
+  EXPECT_GT(result.duration.count_micros(), kHandshakeRtt.count_micros());
 }
 
 TEST(Handshake, LargeSanListCostsExtraRtts) {
@@ -185,7 +183,7 @@ TEST(Handshake, LargeSanListCostsExtraRtts) {
   }
   CertificateChain chain;
   chain.leaf = *ca.issue("example.com", sans, t0());
-  auto result = simulate_handshake(chain, HandshakeParams{});
+  auto result = simulate_handshake(chain);
   EXPECT_TRUE(result.ok);
   EXPECT_GT(result.round_trips, 1);
   EXPECT_GT(result.tls_records, 1);
@@ -201,7 +199,7 @@ TEST(Handshake, AbsurdChainFailsLikeBadSsl) {
   }
   CertificateChain chain;
   chain.leaf = *ca.issue("badssl.com", sans, t0());
-  auto result = simulate_handshake(chain, HandshakeParams{});
+  auto result = simulate_handshake(chain);
   EXPECT_FALSE(result.ok);
 }
 
@@ -209,9 +207,9 @@ TEST(Handshake, IntermediatesCountTowardChainSize) {
   CertificateAuthority ca("CA", 13);
   CertificateChain chain;
   chain.leaf = *ca.issue("a.com", {"a.com"}, t0());
-  auto base = simulate_handshake(chain, HandshakeParams{});
+  auto base = simulate_handshake(chain);
   chain.intermediates.push_back(*ca.issue("Intermediate CA", {}, t0()));
-  auto with_intermediate = simulate_handshake(chain, HandshakeParams{});
+  auto with_intermediate = simulate_handshake(chain);
   EXPECT_GT(with_intermediate.chain_bytes, base.chain_bytes);
 }
 
@@ -227,7 +225,7 @@ TEST_P(HandshakeSweep, MoreSansNeverFewerRtts) {
     }
     CertificateChain chain;
     chain.leaf = *ca.issue("example.org", sans, t0());
-    return simulate_handshake(chain, HandshakeParams{}).round_trips;
+    return simulate_handshake(chain).round_trips;
   };
   EXPECT_LE(rtts_for(GetParam()), rtts_for(GetParam() * 2));
 }
