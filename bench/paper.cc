@@ -1,4 +1,4 @@
-// Every paper table, figure and analytic ablation, as sections of one run.
+// Every paper table, figure and ablation, as sections of one run.
 //
 // The run builds the corpus once and collects it once with the §3 vantage
 // (chromium-ip); that collect's sink feeds every section that reads the
@@ -9,6 +9,11 @@
 // an unchanged-world section: those all read the collect made before it.
 // The policy ablation rewrites services and certificates, so it builds a
 // second corpus of its own.
+//
+// The §6.7 middlebox ablation and the two robustness ablations that close
+// the run (faults, then overload) load pages over the wire from one
+// hand-built CDN PoP (SiteWorld) instead of the corpus. The robustness
+// ablations make in-run checks, and print_paper reports whether they held.
 #include "paper.h"
 
 #include <algorithm>
@@ -21,13 +26,17 @@
 
 #include "browser/environment.h"
 #include "browser/wire_client.h"
+#include "cdn/admission.h"
 #include "cdn/deployment.h"
+#include "cdn/kill_switch.h"
 #include "ct/ct_log.h"
 #include "dataset/catalog.h"
+#include "h2/abuse.h"
 #include "h2/middleboxes.h"
 #include "h2/secondary_certs.h"
 #include "model/cert_planner.h"
 #include "model/coalescing_model.h"
+#include "netsim/faults.h"
 #include "netsim/network.h"
 #include "netsim/simulator.h"
 #include "server/http2_server.h"
@@ -37,6 +46,7 @@
 #include "util/stats.h"
 #include "util/strings.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace origin::bench {
 namespace {
@@ -992,88 +1002,132 @@ void cert_size_ablation(std::FILE* out) {
   print_table(out, limits);
 }
 
-struct MiddleboxOutcome {
-  bool page_ok = false;
-  std::size_t torn_down = 0;
-  std::size_t coalesced = 0;
+server::Handler body(const char* text) {
+  return [text](std::string_view) {
+    server::Response response;
+    response.body = util::from_string(text);
+    return response;
+  };
+}
+
+// One CDN PoP on a simulated network: a service serving www.site.com and
+// static.site.com from 10.0.0.1 under one certificate, and its server
+// advertising both origins in an ORIGIN frame.
+struct SiteWorld {
+  netsim::Simulator sim;
+  netsim::Network net{sim};
+  browser::Environment env;
+  server::Http2Server cdn_server;
+  server::Http2Server tracker_server;  // serves once add_tracker() ran
+
+  // `overload` arms the server's per-session budgets (off by default).
+  explicit SiteWorld(server::OverloadConfig overload = {}) {
+    auto cert = *env.default_ca().issue(
+        "www.site.com", {"www.site.com", "static.site.com"},
+        util::SimTime::from_micros(0));
+    browser::Service service;
+    service.name = "cdn";
+    service.asn = 13335;
+    service.provider = "ExampleCDN";
+    service.addresses = {dns::IpAddress::v4(0x0A000001)};
+    service.served_hostnames = {"www.site.com", "static.site.com"};
+    service.certificate = std::make_shared<tls::Certificate>(cert);
+    env.add_service(std::move(service));
+
+    server::ServerConfig config;
+    config.origin_set = {"https://www.site.com", "https://static.site.com"};
+    config.overload = overload;
+    cdn_server = server::Http2Server(config);
+    cdn_server.set_certificate(cert);
+    cdn_server.add_vhost("www.site.com", body("<html>base</html>"));
+    cdn_server.add_vhost("static.site.com", body("body{}"));
+    cdn_server.listen(net, dns::IpAddress::v4(0x0A000001));
+  }
+  // The network and the listening servers hold this world's addresses.
+  SiteWorld(const SiteWorld&) = delete;
+  SiteWorld& operator=(const SiteWorld&) = delete;
+
+  // Adds tracker.net: a third party on its own service, address and server.
+  void add_tracker() {
+    auto cert = *env.default_ca().issue("tracker.net", {"tracker.net"},
+                                        util::SimTime::from_micros(0));
+    browser::Service service;
+    service.name = "tracker";
+    service.asn = 15169;
+    service.provider = "TrackerCo";
+    service.addresses = {dns::IpAddress::v4(0x0B000001)};
+    service.served_hostnames = {"tracker.net"};
+    service.certificate = std::make_shared<tls::Certificate>(cert);
+    env.add_service(std::move(service));
+
+    tracker_server.set_certificate(cert);
+    tracker_server.add_vhost("tracker.net", body("track();"));
+    tracker_server.listen(net, dns::IpAddress::v4(0x0B000001));
+  }
+
+  // One page load by a fresh client, run until the network is idle.
+  browser::WireLoadResult load(const web::Webpage& page,
+                               const browser::LoaderOptions& options,
+                               browser::DegradationOptions degradation = {}) {
+    browser::WireClient client(env, net, options, degradation);
+    browser::WireLoadResult result;
+    client.load(page,
+                [&](browser::WireLoadResult r) { result = std::move(r); });
+    sim.run_until_idle();
+    return result;
+  }
 };
+
+// A page on www.site.com: the navigation, then each (host, path) of
+// `subresources`, which it discovers after 1 ms of parsing.
+web::Webpage site_page(
+    const std::vector<std::pair<const char*, std::string>>& subresources) {
+  web::Webpage page;
+  page.tranco_rank = 7;
+  page.base_hostname = "www.site.com";
+  web::Resource base;
+  base.hostname = "www.site.com";
+  base.path = "/";
+  base.mode = web::RequestMode::kNavigation;
+  page.resources.push_back(base);
+  for (const auto& [host, path] : subresources) {
+    web::Resource resource;
+    resource.hostname = host;
+    resource.path = path;
+    resource.parent = 0;
+    resource.discovery_cpu_ms = 1.0;
+    page.resources.push_back(resource);
+  }
+  return page;
+}
+
+browser::LoaderOptions origin_frame_options(std::string network_tag) {
+  browser::LoaderOptions options;
+  options.policy = "origin-frame";
+  options.network_tag = std::move(network_tag);
+  return options;
+}
 
 // One wire-level page load: 0 = clean path, 1 = compliant passive
 // inspector, 2 = the buggy agent, 3 = the agent after the vendor's fix.
-MiddleboxOutcome run_middlebox_case(bool server_origin, int middlebox_kind) {
-  using dns::IpAddress;
-  netsim::Simulator sim;
-  netsim::Network net(sim);
-  browser::Environment env;
-
-  auto cert = *env.default_ca().issue(
-      "www.shop.example", {"www.shop.example", "static.shop.example"},
-      origin::util::SimTime::from_micros(0));
-  browser::Service service;
-  service.name = "shop";
-  service.asn = 13335;
-  service.provider = "ExampleCDN";
-  service.addresses = {IpAddress::v4(0x0A000001)};
-  service.served_hostnames = {"www.shop.example", "static.shop.example"};
-  service.certificate = std::make_shared<tls::Certificate>(cert);
-  env.add_service(std::move(service));
-
-  server::ServerConfig config;
-  if (server_origin) {
-    config.origin_set = {"https://www.shop.example",
-                         "https://static.shop.example"};
-  }
-  server::Http2Server server(config);
-  server.set_certificate(cert);
-  server.add_vhost("www.shop.example", [](std::string_view) {
-    server::Response r;
-    r.body = origin::util::from_string("<html>shop</html>");
-    return r;
-  });
-  server.add_vhost("static.shop.example", [](std::string_view) {
-    server::Response r;
-    r.content_type = "application/javascript";
-    r.body = origin::util::from_string("app();");
-    return r;
-  });
-  server.listen(net, IpAddress::v4(0x0A000001));
-
+browser::WireLoadResult run_middlebox_case(bool server_origin,
+                                           int middlebox_kind) {
+  SiteWorld world;
+  if (!server_origin) world.cdn_server.set_origin_set({});
   if (middlebox_kind == 1) {
-    net.install_middlebox("wire-client",
-                          std::make_shared<h2::PassiveInspector>());
+    world.net.install_middlebox("wire-client",
+                                std::make_shared<h2::PassiveInspector>());
   } else if (middlebox_kind == 2) {
-    net.install_middlebox("wire-client",
-                          std::make_shared<h2::StrictFrameMiddlebox>());
+    world.net.install_middlebox("wire-client",
+                                std::make_shared<h2::StrictFrameMiddlebox>());
   } else if (middlebox_kind == 3) {
     auto fixed = std::make_shared<h2::StrictFrameMiddlebox>();
     fixed->add_known_type(0x0c);  // the vendor's September-2022 fix
     fixed->add_known_type(0x0a);
-    net.install_middlebox("wire-client", fixed);
+    world.net.install_middlebox("wire-client", fixed);
   }
-
-  web::Webpage page;
-  page.base_hostname = "www.shop.example";
-  web::Resource base;
-  base.hostname = "www.shop.example";
-  base.path = "/";
-  page.resources.push_back(base);
-  web::Resource js;
-  js.hostname = "static.shop.example";
-  js.path = "/app.js";
-  js.parent = 0;
-  page.resources.push_back(js);
-
-  browser::LoaderOptions options;
-  options.policy = "origin-frame";
-  browser::WireClient client(env, net, options);
-  MiddleboxOutcome outcome;
-  client.load(page, [&](browser::WireLoadResult result) {
-    outcome.page_ok = result.har.success;
-    outcome.torn_down = result.connections_torn_down;
-    outcome.coalesced = result.coalesced_requests;
-  });
-  sim.run_until_idle();
-  return outcome;
+  return world.load(site_page({{"static.site.com", "/app.js"}}),
+                    origin_frame_options("wire-client"));
 }
 
 // §6.7: the non-compliant middlebox incident. Runs identical wire-level
@@ -1095,9 +1149,9 @@ void middlebox_ablation(std::FILE* out) {
     for (bool origin_frames : {false, true}) {
       auto outcome = run_middlebox_case(origin_frames, kind);
       table.add_row({kinds[kind], origin_frames ? "on" : "off",
-                     outcome.page_ok ? "yes" : "NO",
-                     std::to_string(outcome.torn_down),
-                     std::to_string(outcome.coalesced)});
+                     outcome.har.success ? "yes" : "NO",
+                     std::to_string(outcome.connections_torn_down),
+                     std::to_string(outcome.coalesced_requests)});
     }
   }
   print_table(out, table);
@@ -1420,9 +1474,449 @@ void scheduling_ablation(std::FILE* out) {
       "head's completion tail.\n");
 }
 
+// ---------------------------------------------------------------------------
+// Robustness ablations, with no paper row. Both run wire-level loads in
+// simulated time on SiteWorlds. They do not read --sites; --seed is their
+// schedule seed. Each returns whether its in-run checks held, with a FAIL
+// line on stderr for each one that did not.
+
+// The value at rank round(p * (n - 1)) of the n sorted `values`; 0 when
+// there are none. At p = 0.5 that is the upper median.
+double rank_percentile(std::vector<double> values, double p) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const auto rank = static_cast<std::size_t>(
+      p * static_cast<double>(values.size() - 1) + 0.5);
+  return values[std::min(rank, values.size() - 1)];
+}
+
+constexpr std::size_t kFaultLoadsPerCell = 40;
+
+struct FaultCell {
+  double rate = 0;
+  bool degraded = false;
+  measure::RobustnessReport report;
+};
+
+FaultCell run_fault_cell(double rate, bool degraded, std::uint64_t seed) {
+  FaultCell cell{rate, degraded, {}};
+  const web::Webpage page =
+      site_page({{"static.site.com", "/app.js"}, {"tracker.net", "/t.js"}});
+  for (std::size_t i = 0; i < kFaultLoadsPerCell; ++i) {
+    netsim::FaultInjector injector(
+        netsim::FaultConfig::uniform(rate, seed + i));
+    SiteWorld world;
+    world.add_tracker();
+    if (rate > 0) world.net.set_fault_injector(&injector);
+    browser::DegradationOptions degradation;
+    degradation.enabled = degraded;
+    const auto result =
+        world.load(page, origin_frame_options("wire-client"), degradation);
+    cell.report.add(result.robustness, result.har.success,
+                    result.har.page_load_time().as_millis());
+  }
+  return cell;
+}
+
+struct KillSwitchReplay {
+  int loads_until_disabled = -1;
+  std::uint64_t suppressed = 0;
+  bool control_unaffected = false;
+  bool suppressed_load_ok = false;
+  bool reenabled = false;
+};
+
+// §6.7 against the CDN's ORIGIN kill-switch: loads behind the buggy agent
+// trip the breaker for their tag while a control tag keeps coalescing, and
+// probes re-enable ORIGIN once the agent is gone.
+KillSwitchReplay run_kill_switch_replay() {
+  KillSwitchReplay replay;
+  SiteWorld world;
+  world.add_tracker();
+  cdn::KillSwitchOptions options;
+  options.window = 8;
+  options.min_observations = 2;
+  options.teardown_threshold = 0.5;
+  options.probe_after = 4;
+  cdn::OriginKillSwitch ks(options);
+  world.cdn_server.set_origin_gate(
+      [&ks](const std::string& tag) { return ks.should_send_origin(tag); });
+  world.cdn_server.set_close_feedback(
+      [&ks](const std::string& tag, bool origin_sent,
+            const std::string& reason) {
+        ks.record_outcome(tag, origin_sent, cdn::abnormal_close(reason));
+      });
+  world.net.install_middlebox(
+      "affected", std::make_shared<h2::StrictFrameMiddlebox>());
+
+  const web::Webpage page =
+      site_page({{"static.site.com", "/app.js"}, {"tracker.net", "/t.js"}});
+  auto run_tagged = [&](const char* tag) {
+    return world.load(page, origin_frame_options(tag));
+  };
+  for (int i = 0; i < 8 && !ks.disabled("affected"); ++i) {
+    (void)run_tagged("affected");
+    replay.control_unaffected = run_tagged("control").har.success;
+    replay.loads_until_disabled = i + 1;
+  }
+  const auto suppressed_load = run_tagged("affected");
+  replay.suppressed_load_ok =
+      ks.disabled("affected") && suppressed_load.har.success;
+  replay.suppressed = world.cdn_server.stats().origin_frames_suppressed;
+
+  world.net.uninstall_middleboxes("affected");
+  for (int i = 0; i < 8 && ks.disabled("affected"); ++i) {
+    (void)run_tagged("affected");
+  }
+  replay.reenabled = !ks.disabled("affected") && ks.reenables() > 0;
+  return replay;
+}
+
+// Page-load completion and PLT under injected network faults, with the
+// graceful-degradation layer on and off. Every connection draws connect
+// failure, mid-stream fault and TLS failure at the cell's rate, and DNS
+// faults at half of it (FaultConfig::uniform). §6.7 shows what one hostile
+// device does to coalescing; this measures how much of a generally faulty
+// network the client's timeout, backoff and avoid-list machinery absorbs.
+bool fault_ablation(std::FILE* out, std::uint64_t seed) {
+  std::fprintf(
+      out, "== Fault ablation: completion and PLT vs injected fault rate ==\n");
+  std::fprintf(
+      out,
+      "reproduces: no paper figure; robustness floor for the §6 wire "
+      "experiments (fault model of §6.7's incident family)\n");
+  std::fprintf(out, "loads per cell: %zu, schedule seed %llu\n\n",
+               kFaultLoadsPerCell, static_cast<unsigned long long>(seed));
+
+  std::vector<FaultCell> cells;
+  for (double rate : {0.0, 0.02, 0.05, 0.10, 0.20}) {
+    for (bool degraded : {false, true}) {
+      cells.push_back(run_fault_cell(rate, degraded, seed));
+    }
+  }
+
+  util::Table table({"fault rate", "degradation", "completion",
+                     "median PLT (ms)", "retries", "torn down", "avoided"});
+  for (const FaultCell& cell : cells) {
+    const auto& totals = cell.report.totals();
+    table.add_row(
+        {util::format_pct(cell.rate, 0), cell.degraded ? "on" : "off",
+         util::format_pct(cell.report.completion_rate(), 1),
+         util::format_double(rank_percentile(cell.report.plt_ms(), 0.5), 1),
+         util::format_count(totals.retries),
+         util::format_count(totals.connections_torn_down),
+         util::format_count(totals.avoided_coalescings)});
+  }
+  std::fputs(table.render(2).c_str(), out);
+
+  const FaultCell& five_off = cells[4];
+  const FaultCell& five_on = cells[5];
+  std::fprintf(out, "\n-- degradation detail at the 5%% cell --\n");
+  std::fputs(five_on.report.table().render(2).c_str(), out);
+
+  const auto replay = run_kill_switch_replay();
+  std::fprintf(out, "\n-- §6.7 kill-switch replay --\n");
+  std::fprintf(out, "  ORIGIN disabled for affected tag after %d load(s)\n",
+               replay.loads_until_disabled);
+  std::fprintf(out, "  control tag unaffected: %s\n",
+               replay.control_unaffected ? "yes" : "NO");
+  std::fprintf(out, "  suppressed-ORIGIN load succeeds behind the agent: %s\n",
+               replay.suppressed_load_ok ? "yes" : "NO");
+  std::fprintf(out, "  ORIGIN frames suppressed: %llu\n",
+               static_cast<unsigned long long>(replay.suppressed));
+  std::fprintf(out, "  re-enabled by probe after fix: %s\n",
+               replay.reenabled ? "yes" : "NO");
+
+  // The floor: at least 99% completion at 5% faults with degradation on,
+  // measurably above the raw path.
+  bool ok = true;
+  const double on = five_on.report.completion_rate();
+  const double off = five_off.report.completion_rate();
+  if (on < 0.99) {
+    std::fprintf(stderr,
+                 "FAIL: completion at 5%% faults with degradation is %.1f%% "
+                 "(floor: 99%%)\n",
+                 100.0 * on);
+    ok = false;
+  }
+  if (on <= off) {
+    std::fprintf(stderr,
+                 "FAIL: degradation does not improve completion at 5%% "
+                 "(%.1f%% vs %.1f%%)\n",
+                 100.0 * on, 100.0 * off);
+    ok = false;
+  }
+  if (!replay.suppressed_load_ok || !replay.reenabled ||
+      !replay.control_unaffected) {
+    std::fprintf(stderr, "FAIL: kill-switch replay did not converge\n");
+    ok = false;
+  }
+  return ok;
+}
+
+constexpr std::size_t kOverloadWorldsPerCell = 10;
+constexpr std::size_t kGoodClients = 8;
+// Admission capacity; the offered load (good clients + attackers) is 2x.
+constexpr std::size_t kCapacity = 8;
+constexpr double kP99BoundMs = 2000.0;
+
+server::OverloadConfig armed_defenses() {
+  server::OverloadConfig overload;
+  overload.enabled = true;
+  // Tighter reaping than the 30s default keeps each world's simulated
+  // horizon short without changing any shed decision.
+  overload.stall_timeout = util::Duration::seconds(5);
+  overload.sweep_interval = util::Duration::seconds(1);
+  return overload;
+}
+
+cdn::AdmissionOptions pop_admission() {
+  cdn::AdmissionOptions options;
+  options.max_sessions = kCapacity;
+  options.window = 8;
+  options.min_observations = 2;
+  options.abusive_threshold = 0.5;
+  options.probe_after = 4;
+  return options;
+}
+
+// One world's outcome; cells sum these in world-index order, so the rollup
+// is independent of the thread schedule.
+struct OverloadWorld {
+  std::uint64_t good_successes = 0;
+  std::vector<double> good_plt_ms;
+  std::size_t attackers = 0;
+  std::size_t attackers_shed = 0;
+  std::uint64_t attacker_frames = 0;
+  std::size_t pinned_sessions = 0;
+  std::string ledger;
+};
+
+OverloadWorld run_overload_world(bool defenses, bool attack,
+                                 const h2::AbuseMix& mix, std::uint64_t seed) {
+  SiteWorld world(defenses ? armed_defenses() : server::OverloadConfig{});
+  cdn::AdmissionController admission(pop_admission());
+  if (defenses) {
+    world.cdn_server.set_admission_gate(
+        [&admission](const std::string& tag) { return admission.admit(tag); });
+    world.cdn_server.set_admission_feedback(
+        [&admission](const std::string& tag, const std::string& reason) {
+          admission.record_close(tag, reason);
+        });
+  }
+  const web::Webpage page = site_page({{"static.site.com", "/asset0.css"},
+                                       {"static.site.com", "/asset1.css"},
+                                       {"static.site.com", "/asset2.css"}});
+
+  // Attackers land first (staggered from 2ms) so the well-behaved loads
+  // contend with a PoP already at capacity.
+  std::vector<std::unique_ptr<h2::AbusiveClient>> attackers;
+  if (attack) {
+    std::size_t i = 0;
+    for (h2::AbuseKind kind : mix.expand()) {
+      attackers.push_back(std::make_unique<h2::AbusiveClient>(
+          world.net, kind, seed * 1000 + i));
+      auto* attacker = attackers.back().get();
+      world.sim.schedule(
+          util::Duration::millis(2.0 + static_cast<double>(i)),
+          [attacker]() { attacker->start(dns::IpAddress::v4(0x0A000001)); });
+      ++i;
+    }
+  }
+
+  std::vector<std::unique_ptr<browser::WireClient>> clients;
+  std::vector<browser::WireLoadResult> results(kGoodClients);
+  std::vector<bool> done(kGoodClients, false);
+  browser::DegradationOptions degradation;
+  degradation.enabled = true;
+  for (std::size_t i = 0; i < kGoodClients; ++i) {
+    clients.push_back(std::make_unique<browser::WireClient>(
+        world.env, world.net,
+        origin_frame_options("user" + std::to_string(i)), degradation));
+    auto* client = clients.back().get();
+    auto* result = &results[i];
+    // std::vector<bool> hands out proxies, not bool*; capture the index.
+    world.sim.schedule(util::Duration::millis(static_cast<double>(i) * 20.0),
+                       [client, &page, result, &done, i]() {
+                         client->load(page, [result, &done, i](
+                                                browser::WireLoadResult r) {
+                           *result = std::move(r);
+                           done[i] = true;
+                         });
+                       });
+  }
+  world.sim.run_until_idle();
+
+  OverloadWorld outcome;
+  for (std::size_t i = 0; i < kGoodClients; ++i) {
+    if (done[i] && results[i].har.success) {
+      ++outcome.good_successes;
+      outcome.good_plt_ms.push_back(
+          results[i].har.page_load_time().as_millis());
+    }
+  }
+  outcome.attackers = attackers.size();
+  for (const auto& attacker : attackers) {
+    if (attacker->shed()) ++outcome.attackers_shed;
+    outcome.attacker_frames += attacker->frames_sent();
+  }
+  outcome.pinned_sessions = world.cdn_server.live_sessions();
+  outcome.ledger = world.cdn_server.stats().serialize();
+  return outcome;
+}
+
+struct OverloadCell {
+  bool defenses = false;
+  bool attack = false;
+  std::uint64_t good_successes = 0;
+  std::size_t good_loads = 0;
+  std::vector<double> plts;
+  std::size_t attackers = 0;
+  std::size_t attackers_shed = 0;
+  std::uint64_t attacker_frames = 0;
+  std::size_t pinned_sessions = 0;
+  std::string ledger;
+
+  double completion() const {
+    return good_loads == 0 ? 0.0
+                           : static_cast<double>(good_successes) /
+                                 static_cast<double>(good_loads);
+  }
+};
+
+// The four cells (defenses off/on x attack off/on), each over its worlds on
+// a pool of `threads`.
+std::vector<OverloadCell> run_overload_cells(const h2::AbuseMix& mix,
+                                             std::uint64_t seed,
+                                             std::size_t threads) {
+  std::vector<OverloadCell> cells;
+  util::ThreadPool pool(threads);
+  for (bool defenses : {false, true}) {
+    for (bool attack : {false, true}) {
+      OverloadCell cell;
+      cell.defenses = defenses;
+      cell.attack = attack;
+      std::vector<OverloadWorld> worlds(kOverloadWorldsPerCell);
+      pool.parallel_for_index(kOverloadWorldsPerCell, [&](std::size_t i) {
+        worlds[i] = run_overload_world(defenses, attack, mix, seed + i);
+      });
+      for (std::size_t i = 0; i < kOverloadWorldsPerCell; ++i) {
+        const OverloadWorld& world = worlds[i];
+        cell.good_successes += world.good_successes;
+        cell.good_loads += kGoodClients;
+        cell.plts.insert(cell.plts.end(), world.good_plt_ms.begin(),
+                         world.good_plt_ms.end());
+        cell.attackers += world.attackers;
+        cell.attackers_shed += world.attackers_shed;
+        cell.attacker_frames += world.attacker_frames;
+        cell.pinned_sessions += world.pinned_sessions;
+        cell.ledger += "# world " + std::to_string(i) + "\n" + world.ledger;
+      }
+      cells.push_back(std::move(cell));
+    }
+  }
+  return cells;
+}
+
+// A PoP under abuse at twice its admission capacity: staggered well-behaved
+// page loads (degradation on, so admission refusals retry) plus a fixed
+// attacker mix from h2/abuse.h. The cells toggle the defenses (per-session
+// budgets, the deadline sweep and admission control) and the attack:
+//
+//   defenses off, clean    baseline PLT for the well-behaved load
+//   defenses off, attack   attackers pin sessions forever (slowloris) and
+//                          the server absorbs their full frame schedule
+//   defenses on,  clean    armed defenses must not tax normal traffic
+//   defenses on,  attack   every attacker shed with a distinct reason,
+//                          nothing pinned, well-behaved loads unaffected
+//
+// The cells run at 8 and then at 1 thread, and the concatenated per-world
+// server ledgers (Stats::serialize) must be byte-identical: the
+// determinism contract extended to every overload counter and close reason.
+bool overload_ablation(std::FILE* out, std::uint64_t seed) {
+  const h2::AbuseMix mix{.rapid_reset = 2,
+                         .header_bomb = 1,
+                         .ping_flood = 2,
+                         .settings_flood = 1,
+                         .slowloris = 2};
+  std::fprintf(out,
+               "== Overload ablation: PoP under abuse at 2x capacity ==\n");
+  std::fprintf(
+      out,
+      "reproduces: no paper figure; serving-stack robustness floor for the "
+      "§5 deployment machinery\n");
+  std::fprintf(out,
+               "worlds per cell: %zu, good loads per world: %zu, capacity: "
+               "%zu, mix: %s, seed %llu\n\n",
+               kOverloadWorldsPerCell, kGoodClients, kCapacity,
+               mix.serialize().c_str(), static_cast<unsigned long long>(seed));
+
+  const auto cells = run_overload_cells(mix, seed, /*threads=*/8);
+  const auto serial = run_overload_cells(mix, seed, /*threads=*/1);
+  bool deterministic = true;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    deterministic = deterministic && cells[i].ledger == serial[i].ledger;
+  }
+
+  std::fprintf(out, "%-10s %-8s %-11s %-10s %-10s %-7s %-13s %-7s\n",
+               "defenses", "attack", "completion", "p50 (ms)", "p99 (ms)",
+               "shed", "abuse frames", "pinned");
+  for (const OverloadCell& cell : cells) {
+    std::fprintf(out,
+                 "%-10s %-8s %-11.4f %-10.1f %-10.1f %zu/%-5zu %-13llu %zu\n",
+                 cell.defenses ? "on" : "off", cell.attack ? "yes" : "no",
+                 cell.completion(), rank_percentile(cell.plts, 0.5),
+                 rank_percentile(cell.plts, 0.99), cell.attackers_shed,
+                 cell.attackers,
+                 static_cast<unsigned long long>(cell.attacker_frames),
+                 cell.pinned_sessions);
+  }
+  std::fprintf(out, "\nledgers byte-identical at 1 vs 8 threads: %s\n",
+               deterministic ? "yes" : "NO");
+
+  const OverloadCell& off_attack = cells[1];
+  const OverloadCell& on_attack = cells[3];
+  bool ok = true;
+  if (on_attack.completion() < 0.99) {
+    std::fprintf(stderr,
+                 "FAIL: defended completion under attack is %.2f%% "
+                 "(floor: 99%%)\n",
+                 100.0 * on_attack.completion());
+    ok = false;
+  }
+  if (on_attack.attackers_shed != on_attack.attackers) {
+    std::fprintf(stderr, "FAIL: only %zu/%zu attackers shed\n",
+                 on_attack.attackers_shed, on_attack.attackers);
+    ok = false;
+  }
+  if (on_attack.pinned_sessions != 0) {
+    std::fprintf(stderr, "FAIL: %zu sessions still pinned with defenses on\n",
+                 on_attack.pinned_sessions);
+    ok = false;
+  }
+  if (off_attack.pinned_sessions == 0) {
+    std::fprintf(stderr,
+                 "FAIL: defenses-off cell pinned no sessions — the ablation "
+                 "shows no damage to defend against\n");
+    ok = false;
+  }
+  if (rank_percentile(on_attack.plts, 0.99) > kP99BoundMs) {
+    std::fprintf(stderr,
+                 "FAIL: defended p99 PLT under attack is %.1fms "
+                 "(bound: %.0fms)\n",
+                 rank_percentile(on_attack.plts, 0.99), kP99BoundMs);
+    ok = false;
+  }
+  if (!deterministic) {
+    std::fprintf(stderr, "FAIL: ledgers differ across thread counts\n");
+    ok = false;
+  }
+  return ok;
+}
+
 }  // namespace
 
-void print_paper(const Args& args, std::FILE* out) {
+bool print_paper(const Args& args, std::FILE* out) {
   const World w = print_corpus_sections(out, args);
   policy_ablation(out, args, w);
   cert_size_ablation(out);
@@ -1431,6 +1925,9 @@ void print_paper(const Args& args, std::FILE* out) {
   secondary_certs_ablation(out, args, w);
   ct_ablation(out, args, w.asn_plans);
   scheduling_ablation(out);
+  const bool faults_ok = fault_ablation(out, args.seed);
+  const bool overload_ok = overload_ablation(out, args.seed);
+  return faults_ok && overload_ok;
 }
 
 }  // namespace origin::bench

@@ -65,29 +65,6 @@ inline constexpr Gate kCorpusGate{
     },
     .factor = 0.9,
     .coverage = "eligible_sites"};
-inline constexpr Gate kFaultsGate{
-    .name = "faults",
-    .metric_name = "median_plt_ms of the degraded 5% cell",
-    .metric = [](const util::Json& doc) -> std::optional<double> {
-      if (!doc["cells"].is_array()) return std::nullopt;
-      for (const auto& cell : doc["cells"].as_array()) {
-        if (cell["degradation"].bool_or(false) &&
-            cell["rate"].double_or(0.0) == 0.05) {
-          return number(cell["median_plt_ms"]);
-        }
-      }
-      return std::nullopt;
-    },
-    .better = Better::kLower,
-    .factor = 1.1};
-inline constexpr Gate kOverloadGate{
-    .name = "overload",
-    .metric_name = "defended_attack_p99_ms",
-    .metric = [](const util::Json& doc) {
-      return number(doc["defended_attack_p99_ms"]);
-    },
-    .better = Better::kLower,
-    .factor = 1.1};
 inline constexpr Gate kCrashGate{
     .name = "crash",
     .metric_name = "max_recovery_overhead_pct",

@@ -210,8 +210,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const std::size_t payload_size = size > 0 ? size - 1 : 0;
 
   // Same bytes, same world: the ledger must replay byte-identically. This
-  // is the single-session analogue of the 1-vs-8-thread determinism gate
-  // in bench_ablation_overload.
+  // is the single-session analogue of the 1-vs-8-thread determinism check
+  // in bench_paper's overload ablation.
   const std::string first = run_scenario(mode, payload, payload_size);
   const std::string second = run_scenario(mode, payload, payload_size);
   ORIGIN_CHECK(first == second, "server fuzz: replay ledger diverged");

@@ -48,13 +48,16 @@
 #      lane + the non-contiguous resume, whose loader lane prefetches
 #      across a reused shard) with ORIGIN_THREADS=8, so every shard path
 #      and the lanes' error path run contended under the race detector
-#  11. paper run + perf: Release build of bench_paper and the perf +
-#      ablation benches. bench_paper's default run must equal the committed
-#      bench_output.txt byte for byte (the Repro column of EXPERIMENTS.md
-#      quotes that file). Then each gated bench makes its in-run checks,
-#      gates one metric against its committed BENCH_*.json at the repo
-#      root (the gate table in bench/report.h), refreshes that copy only on
-#      a passing run, and exits non-zero when either fails
+#  11. paper run + perf: Release build of bench_paper, the perf benches and
+#      the crash ablation. bench_paper's default run must equal the
+#      committed bench_output.txt byte for byte (the Repro column of
+#      EXPERIMENTS.md quotes that file). That diff also pins every number
+#      of the fault and overload ablations, and their in-run checks fail
+#      the leg through bench_paper's exit status. Then each gated bench
+#      makes its in-run checks, gates one metric against its committed
+#      BENCH_*.json at the repo root (the gate table in bench/report.h),
+#      refreshes that copy only on a passing run, and exits non-zero when
+#      either fails
 #
 # Usage: scripts/check.sh [--quick]
 #   --quick   tier-1, perfbench tests and analyze only; skip the sanitizer
@@ -140,15 +143,12 @@ echo "==> [11/11] paper run + perf gates (Release, bench_output.txt + BENCH_*.js
 cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-perf -j "$JOBS" \
   --target bench_paper bench_perf_pipeline bench_perf_model \
-           bench_perf_corpus bench_ablation_overload bench_ablation_faults \
-           bench_ablation_crash
+           bench_perf_corpus bench_ablation_crash
 ./build-perf/bench/bench_paper > build-perf/bench_output.txt
 diff -u bench_output.txt build-perf/bench_output.txt
 ./build-perf/bench/bench_perf_pipeline
 ./build-perf/bench/bench_perf_model
 ./build-perf/bench/bench_perf_corpus
-./build-perf/bench/bench_ablation_overload
-./build-perf/bench/bench_ablation_faults
 ./build-perf/bench/bench_ablation_crash
 
 echo "==> all checks passed"

@@ -44,7 +44,6 @@ void WireClient::load(const web::Webpage& page,
   state->har.tranco_rank = page.tranco_rank;
   state->har.base_hostname = page.base_hostname;
   state->har.entries.resize(page.resources.size());
-  state->outstanding_children.assign(page.resources.size(), 0);
   state->resource_done.assign(page.resources.size(), 0);
   state->attempts.assign(page.resources.size(), 0);
   state->retry_budget_left = kRetryBudget;
@@ -285,14 +284,13 @@ void WireClient::dispatch(std::shared_ptr<LoadState> state, int resource_index,
         }
       }
     }
-    open_connection(state, resource_index, answer, dedicated);
+    open_connection(state, resource_index, answer);
   });
 }
 
 void WireClient::open_connection(std::shared_ptr<LoadState> state,
-                                 int resource_index, const dns::Answer& answer,
-                                 bool dedicated) {
-  (void)dedicated;
+                                 int resource_index,
+                                 const dns::Answer& answer) {
   const web::Resource& res =
       state->page.resources[static_cast<std::size_t>(resource_index)];
   const Service* service = env_.find_service(res.hostname);

@@ -99,7 +99,6 @@ class WireClient {
   struct LoadState {
     web::Webpage page;  // owned copy: loads outlive the caller's argument
     web::PageLoad har;
-    std::vector<int> outstanding_children;  // per resource: children count
     std::size_t completed = 0;
     std::vector<std::shared_ptr<LiveConnection>> pool;
     std::unique_ptr<dns::Resolver> resolver;
@@ -123,7 +122,7 @@ class WireClient {
   void send_request(std::shared_ptr<LoadState> state, int resource_index,
                     std::shared_ptr<LiveConnection> conn, bool coalesced);
   void open_connection(std::shared_ptr<LoadState> state, int resource_index,
-                       const dns::Answer& answer, bool dedicated);
+                       const dns::Answer& answer);
   void complete_resource(std::shared_ptr<LoadState> state, int resource_index,
                          bool success, const std::string& error);
   void maybe_finish(std::shared_ptr<LoadState> state);

@@ -66,7 +66,6 @@ std::vector<Sct> CtEcosystem::submit(const tls::Certificate& cert,
     scts.push_back(log->submit(cert, now));
     operators_used.insert(log->operator_org());
   }
-  ++total_;
   return scts;
 }
 

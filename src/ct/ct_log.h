@@ -79,7 +79,6 @@ class CtEcosystem {
                           origin::util::SimTime now);
 
   const std::vector<std::unique_ptr<CtLog>>& logs() const { return logs_; }
-  std::uint64_t total_submissions() const { return total_; }
 
   // Share of entries held by the busiest operator (the §6.4 imbalance).
   double max_operator_share() const;
@@ -87,7 +86,6 @@ class CtEcosystem {
  private:
   std::size_t required_logs_;
   std::vector<std::unique_ptr<CtLog>> logs_;
-  std::uint64_t total_ = 0;
 };
 
 // A CT monitor (paper ref [37]): watches all logs for certificates that

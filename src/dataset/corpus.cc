@@ -298,9 +298,11 @@ std::size_t StreamingCorpus::shard_site_count(std::size_t first_site) const {
 
 std::uint64_t StreamingCorpus::config_digest() const {
   // Everything here changes the bytes of every shard, so a mismatch means
-  // nothing in the old spill directory is reusable. Environment shape
-  // (service links, addresses, certificates) folds in through the corpus
-  // seed, which fixes the synthesized world the loader acts on.
+  // nothing in the old spill directory is reusable. That includes every
+  // resolver param: `recursive_base` alone sets each HAR entry's DNS time.
+  // Environment shape (service links, addresses, certificates) folds in
+  // through the corpus seed, which fixes the synthesized world the loader
+  // acts on.
   util::ByteWriter writer(128);
   writer.u64(corpus_.options().seed);
   writer.u64(eligible_.size());
@@ -312,6 +314,13 @@ std::uint64_t StreamingCorpus::config_digest() const {
   writer.u64(std::bit_cast<std::uint64_t>(loader.happy_eyeballs_extra_dns));
   writer.u64(std::bit_cast<std::uint64_t>(loader.speculative_extra_connection));
   writer.raw(loader.network_tag);
+  const dns::Resolver::Params& resolver = loader.resolver;
+  writer.u64(
+      static_cast<std::uint64_t>(resolver.recursive_base.count_micros()));
+  writer.u8(static_cast<std::uint8_t>(resolver.transport));
+  writer.u64(std::bit_cast<std::uint64_t>(resolver.fault_servfail_rate));
+  writer.u64(std::bit_cast<std::uint64_t>(resolver.fault_timeout_rate));
+  writer.u64(resolver.fault_seed);
   return util::crc64(writer.bytes());
 }
 

@@ -84,8 +84,6 @@ class TimelineColumns {
   ShardMeta meta() const;
   std::size_t page_count() const { return page_rank_.size(); }
   std::size_t entry_count() const { return entry_start_us_.size(); }
-  std::size_t symbol_count() const { return symbol_names_.size(); }
-  std::size_t arena_reserved_bytes() const { return arena_.reserved_bytes(); }
 
   std::uint32_t intern(std::string_view name);
   std::string_view symbol(std::uint32_t id) const { return symbol_names_[id]; }

@@ -99,7 +99,6 @@ class SnapshotReader {
   // standard library allows). Returns false once all pages are consumed.
   bool next_page(web::PageLoad* out);
   void rewind();
-  std::size_t pages_read() const { return page_cursor_; }
 
  private:
   SnapshotReader() = default;

@@ -93,7 +93,6 @@ class AbusiveClient {
   void start(dns::IpAddress target);
 
   AbuseKind kind() const { return kind_; }
-  const std::string& tag() const { return tag_; }
   bool connected() const { return connected_; }
   // The server (or network) closed this client's connection.
   bool closed() const { return closed_; }

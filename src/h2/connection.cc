@@ -174,7 +174,6 @@ Status Connection::submit_origin(const std::vector<std::string>& origins) {
   }
   OriginFrame frame;
   frame.origins = origins;
-  advertised_origins_ = origins;
   enqueue(Frame{std::move(frame)});
   return {};
 }

@@ -63,8 +63,6 @@ class Connection {
     callbacks_ = std::move(callbacks);
   }
 
-  Role role() const { return role_; }
-
   // --- Sending ---------------------------------------------------------
 
   // Client only: opens a new stream carrying `headers`.
@@ -80,8 +78,7 @@ class Connection {
                                    std::span<const std::uint8_t> data,
                                    bool end_stream);
 
-  // Server only: advertises the origin set on stream 0 (RFC 8336). The
-  // serialized frame also updates `advertised_origins()`.
+  // Server only: advertises the origin set on stream 0 (RFC 8336).
   [[nodiscard]] origin::util::Status submit_origin(const std::vector<std::string>& origins);
 
   // Server only: proves authority for additional origins by shipping a
@@ -112,21 +109,12 @@ class Connection {
   const std::vector<tls::Certificate>& secondary_certificates() const {
     return secondary_certificates_;
   }
-  const std::vector<std::string>& advertised_origins() const {
-    return advertised_origins_;
-  }
-
-  const Settings& local_settings() const { return local_settings_; }
-  const Settings& remote_settings() const { return remote_settings_; }
 
   Stream* find_stream(std::uint32_t id);
   std::size_t active_stream_count() const;
   std::uint32_t highest_peer_stream() const { return highest_peer_stream_; }
   bool failed() const { return failed_; }
   bool goaway_received() const { return goaway_received_.has_value(); }
-  const std::optional<GoAwayFrame>& received_goaway() const {
-    return goaway_received_;
-  }
   std::uint64_t frames_received(FrameType type) const;
   // Total frames of every type this connection has parsed; the input to
   // connection-lifetime frame-rate budgets.
@@ -155,7 +143,6 @@ class Connection {
   FrameParser parser_;
 
   OriginSet origin_set_;
-  std::vector<std::string> advertised_origins_;
   std::vector<tls::Certificate> secondary_certificates_;
 
   std::map<std::uint32_t, Stream> streams_;

@@ -32,11 +32,6 @@ void DatasetReport::add(const dataset::SiteInfo& site,
   bucket.dns.push_back(static_cast<double>(load.dns_query_count()));
   bucket.tls.push_back(static_cast<double>(load.tls_connection_count()));
 
-  requests_per_page_.push_back(static_cast<double>(load.request_count()));
-  plt_ms_.push_back(load.page_load_time().as_millis());
-  dns_per_page_.push_back(static_cast<double>(load.dns_query_count()));
-  tls_per_page_.push_back(static_cast<double>(load.tls_connection_count()));
-
   std::set<std::uint32_t> page_asns;
   for (const auto& entry : load.entries) {
     ++total_requests_;
@@ -256,7 +251,8 @@ void RobustnessReport::add(const netsim::RobustnessStats& stats, bool complete,
                            double plt_ms) {
   totals_.merge(stats);
   ++loads_;
-  if (complete) ++completed_;
+  if (!complete) return;
+  ++completed_;
   plt_ms_.push_back(plt_ms);
 }
 

@@ -40,12 +40,6 @@ class DatasetReport {
 
   std::uint64_t total_requests() const { return total_requests_; }
   std::uint64_t total_pages() const { return pages_; }
-  const std::vector<double>& plt_ms() const { return plt_ms_; }
-  const std::vector<double>& dns_per_page() const { return dns_per_page_; }
-  const std::vector<double>& tls_per_page() const { return tls_per_page_; }
-  const std::vector<double>& requests_per_page() const {
-    return requests_per_page_;
-  }
 
  private:
   struct BucketStats {
@@ -74,16 +68,11 @@ class DatasetReport {
       asn_content_;
   std::map<std::string, std::uint64_t> hostname_requests_;  // analyze:allow(no-string-keyed-tree): sorted report table, see above
   origin::util::Histogram unique_as_histogram_;
-
-  std::vector<double> plt_ms_;
-  std::vector<double> dns_per_page_;
-  std::vector<double> tls_per_page_;
-  std::vector<double> requests_per_page_;
 };
 
-// Aggregates per-load RobustnessStats into the degradation summary the
-// fault-ablation bench prints: completion rate, retry/backoff volume, and
-// the teardown-reason breakdown.
+// Aggregates per-load RobustnessStats into the degradation summary that
+// bench_paper's fault ablation prints: completion rate, retry/backoff
+// volume, and the teardown-reason breakdown.
 class RobustnessReport {
  public:
   void add(const netsim::RobustnessStats& stats, bool complete, double plt_ms);
@@ -96,7 +85,7 @@ class RobustnessReport {
                : static_cast<double>(completed_) / static_cast<double>(loads_);
   }
   const netsim::RobustnessStats& totals() const { return totals_; }
-  std::uint64_t loads() const { return loads_; }
+  // Page load times of the completed loads, in the order added.
   const std::vector<double>& plt_ms() const { return plt_ms_; }
 
  private:

@@ -188,12 +188,6 @@ class CoalescingModel {
     return groups_.name(group);
   }
 
-  // Id for a spelled-out key; kInvalidSymbol if never interned (which
-  // matches no analyzed entry).
-  util::SymbolId find_group(std::string_view key) const {
-    return groups_.lookup(key);
-  }
-
  private:
   void analyze_into(const web::PageLoad& load, PageAnalysis* out,
                     AnalysisScratch& scratch) const;

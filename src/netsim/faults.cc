@@ -182,12 +182,6 @@ std::string FaultConfig::serialize() const {
   return buffer;
 }
 
-bool FaultConfig::any_enabled() const {
-  return connect_refused > 0 || connect_timeout > 0 || rst > 0 ||
-         truncate > 0 || corrupt > 0 || stall > 0 || tls_handshake > 0 ||
-         dns_servfail > 0 || dns_timeout > 0;
-}
-
 FaultKind FaultInjector::connect_fault(std::uint64_t attempt) const {
   const double r = roll(config_.seed, kSaltConnect, attempt);
   if (r < config_.connect_refused) return FaultKind::kConnectRefused;

@@ -39,7 +39,7 @@ const char* fault_kind_name(FaultKind kind);
 // Per-kind fault probabilities plus the seed every decision derives from.
 // Parsed from "key=value,key=value" text (the fuzzed surface) and buildable
 // programmatically; `uniform(rate, seed)` spreads one headline rate across
-// the connection-level kinds the way bench_ablation_faults sweeps it.
+// the connection-level kinds the way bench_paper's fault ablation sweeps it.
 struct FaultConfig {
   std::uint64_t seed = 0x0F417;
   // Per-connection-attempt probabilities.
@@ -74,8 +74,6 @@ struct FaultConfig {
 
   // Canonical key=value form; parse(serialize()) round-trips.
   std::string serialize() const;
-
-  bool any_enabled() const;
 };
 
 // The per-connection fault schedule: at most one mid-stream fault, pinned

@@ -40,11 +40,6 @@ void TcpEndpoint::set_on_close(
   (client_side_ ? conn->client : conn->server).on_close = std::move(callback);
 }
 
-dns::IpAddress TcpEndpoint::peer_address() const {
-  auto* conn = network_->find(connection_id_);
-  return conn == nullptr ? dns::IpAddress{} : conn->server_address;
-}
-
 std::string TcpEndpoint::client_tag() const {
   if (network_ == nullptr) return "";
   auto* conn = network_->find(connection_id_);
@@ -59,14 +54,6 @@ LinkParams Network::link_to(dns::IpAddress server) const {
 void Network::listen(dns::IpAddress address,
                      std::function<void(TcpEndpoint)> on_accept) {
   listeners_[address] = std::move(on_accept);
-}
-
-void Network::stop_listening(dns::IpAddress address) {
-  listeners_.erase(address);
-}
-
-bool Network::listening(dns::IpAddress address) const {
-  return listeners_.count(address) > 0;
 }
 
 void Network::install_middlebox(std::string client_tag,

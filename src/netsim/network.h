@@ -50,7 +50,6 @@ class TcpEndpoint {
       std::function<void(std::span<const std::uint8_t>)> callback);
   void set_on_close(std::function<void(const std::string&)> callback);
 
-  dns::IpAddress peer_address() const;
   // Tag of the client that opened this connection ("" once closed and
   // reaped). Lets servers key per-client state, e.g. the ORIGIN
   // kill-switch's teardown windows.
@@ -115,8 +114,6 @@ class Network {
   // each new connection.
   void listen(dns::IpAddress address,
               std::function<void(TcpEndpoint)> on_accept);
-  void stop_listening(dns::IpAddress address);
-  bool listening(dns::IpAddress address) const;
 
   // Interposes a middlebox on all connections from `client_tag` (e.g. the
   // user runs endpoint security software). Empty tag = all clients.

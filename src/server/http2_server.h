@@ -121,7 +121,6 @@ class Http2Server {
 
   void add_vhost(std::string hostname, Handler handler);
   void set_certificate(tls::Certificate cert);
-  const tls::CertStore& cert_store() const { return certs_; }
 
   // Replaces the advertised origin set (reconfiguration at runtime, as the
   // CDN deployment did between experiments).

@@ -47,7 +47,6 @@ origin::util::Result<Certificate> CertificateAuthority::issue(
   cert.public_key_id =
       origin::util::fnv1a64(subject_common_name, cert.serial);
   cert.signature = sign(cert);
-  ++issued_;
   return cert;
 }
 

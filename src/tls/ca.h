@@ -24,7 +24,6 @@ class CertificateAuthority {
   const std::string& name() const { return name_; }
   std::uint64_t key_id() const { return key_id_; }
   std::size_t max_san_entries() const { return max_san_entries_; }
-  std::uint64_t certificates_issued() const { return issued_; }
 
   // Issues a certificate valid for 90 days from `now`. Fails when the SAN
   // list exceeds this CA's limit.
@@ -48,7 +47,6 @@ class CertificateAuthority {
   std::uint64_t key_id_;
   std::size_t max_san_entries_;
   std::uint64_t next_serial_ = 1;
-  std::uint64_t issued_ = 0;
 };
 
 // A trust store over a set of CAs plus full-chain validation: expiry,

@@ -61,9 +61,6 @@ class Arena {
   // largest shard and allocates nothing afterwards.
   void reset() { next_free_ = 0; }
 
-  std::size_t chunk_count() const { return chunks_.size(); }
-  std::size_t reserved_bytes() const { return chunks_.size() * kChunkBytes; }
-
  private:
   std::vector<std::unique_ptr<std::uint8_t[]>> chunks_;
   std::size_t next_free_ = 0;

@@ -63,7 +63,6 @@ class ByteReader {
   std::string str(std::size_t n);
 
   std::size_t remaining() const { return data_.size() - pos_; }
-  std::size_t position() const { return pos_; }
   bool ok() const { return ok_; }
   bool at_end() const { return pos_ == data_.size(); }
   std::uint8_t peek() const { return pos_ < data_.size() ? data_[pos_] : 0; }

@@ -30,19 +30,6 @@ std::string corpus(double eligible_sites, double sites_per_sec) {
          R"(, "streamed": {"sites_per_sec": )" + num(sites_per_sec) + "}}";
 }
 
-// The gated cell sits between cells whose medians would fail the gate.
-std::string faults(double median_plt_ms) {
-  return R"({"cells": [
-      {"rate": 0.05, "degradation": false, "median_plt_ms": 900},
-      {"rate": 0.05, "degradation": true, "median_plt_ms": )" +
-         num(median_plt_ms) + R"(},
-      {"rate": 0.1, "degradation": true, "median_plt_ms": 900}]})";
-}
-
-std::string overload(double p99_ms) {
-  return R"({"defended_attack_p99_ms": )" + num(p99_ms) + "}";
-}
-
 std::string crash(double sites, double overhead_pct) {
   return R"({"sites": )" + num(sites) + R"(, "max_recovery_overhead_pct": )" +
          num(overhead_pct) + "}";
@@ -111,19 +98,6 @@ TEST_F(BenchReportTest, HigherIsBetterFailsJustPastTenPercent) {
   EXPECT_EQ(run(kModelGate, model(1000), model(5000)), std::pair(0, true));
 }
 
-TEST_F(BenchReportTest, LowerIsBetterFailsJustPastTenPercent) {
-  using bench::kFaultsGate;
-  using bench::kOverloadGate;
-  EXPECT_EQ(run(kOverloadGate, overload(100), overload(110)),
-            std::pair(0, true));
-  EXPECT_EQ(run(kOverloadGate, overload(100), overload(110.01)),
-            std::pair(1, false));
-  EXPECT_EQ(run(kFaultsGate, faults(200), faults(220)), std::pair(0, true));
-  EXPECT_EQ(run(kFaultsGate, faults(200), faults(220.01)),
-            std::pair(1, false));
-  EXPECT_EQ(run(kFaultsGate, faults(200), faults(1)), std::pair(0, true));
-}
-
 TEST_F(BenchReportTest, CrashGateAllowsTenPointsOfOverhead) {
   using bench::kCrashGate;
   EXPECT_EQ(run(kCrashGate, crash(100, 20), crash(100, 30)),
@@ -136,10 +110,10 @@ TEST_F(BenchReportTest, CrashGateAllowsTenPointsOfOverhead) {
 }
 
 TEST_F(BenchReportTest, MissingCommittedFileIsNoBaseline) {
-  ASSERT_FALSE(fs::exists(committed(bench::kOverloadGate)));
-  EXPECT_EQ(publish(bench::kOverloadGate, overload(1e9)), 0);
-  EXPECT_EQ(slurp(committed(bench::kOverloadGate)),
-            slurp(file(bench::kOverloadGate)));
+  ASSERT_FALSE(fs::exists(committed(bench::kCrashGate)));
+  EXPECT_EQ(publish(bench::kCrashGate, crash(100, 1e9)), 0);
+  EXPECT_EQ(slurp(committed(bench::kCrashGate)),
+            slurp(file(bench::kCrashGate)));
 }
 
 TEST_F(BenchReportTest, UnparsableCommittedFileIsNoBaseline) {
@@ -204,8 +178,6 @@ TEST_F(BenchReportTest, ExtractorsReadTheCommittedBaselines) {
   EXPECT_NEAR(metric(bench::kCorpusGate), 4'398.54, 0.005);
   EXPECT_EQ(baseline(bench::kCorpusGate)["eligible_sites"].double_or(0),
             31'538);
-  EXPECT_DOUBLE_EQ(metric(bench::kFaultsGate), 220.32);
-  EXPECT_DOUBLE_EQ(metric(bench::kOverloadGate), 147.801);
   EXPECT_NEAR(metric(bench::kCrashGate), 20.945, 0.0005);
   EXPECT_EQ(baseline(bench::kCrashGate)["sites"].double_or(0), 100'000);
 }

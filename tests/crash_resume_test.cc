@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dataset/corpus.h"
@@ -386,23 +387,36 @@ TEST_F(CrashResumeTest, PassiveObserverStreamSurvivesResume) {
 // answer for ITS config.
 TEST_F(CrashResumeTest, ConfigDigestMismatchResetsTheJournal) {
   dataset::Corpus corpus(corpus_options());
-  {
-    // Journal five shards under a different loader seed.
-    dataset::StreamingOptions options =
-        streaming_options(dir_, 1, /*resume=*/false);
-    options.loader.seed = 777;
-    options.keep_shards = true;
-    dataset::StreamingCorpus other(corpus, options);
-    ASSERT_TRUE(other.run().ok());
+  // Each journals five shards under a loader config that differs from the
+  // default in one field.
+  const std::pair<const char*, void (*)(browser::LoaderOptions&)> others[] = {
+      {"loader seed 777",
+       [](browser::LoaderOptions& loader) { loader.seed = 777; }},
+      {"recursive_base 40 ms",
+       [](browser::LoaderOptions& loader) {
+         loader.resolver.recursive_base = util::Duration::millis(40);
+       }},
+  };
+  for (const auto& [name, differ] : others) {
+    SCOPED_TRACE(name);
+    std::filesystem::remove_all(dir_);
+    {
+      dataset::StreamingOptions options =
+          streaming_options(dir_, 1, /*resume=*/false);
+      differ(options.loader);
+      options.keep_shards = true;
+      dataset::StreamingCorpus other(corpus, options);
+      ASSERT_TRUE(other.run().ok());
+    }
+    dataset::StreamingCorpus resumed(
+        corpus, streaming_options(dir_, 1, /*resume=*/true));
+    auto stats = resumed.run();
+    ASSERT_TRUE(stats.ok()) << stats.error().message;
+    expect_identical(baseline(), *stats);
+    EXPECT_EQ(resumed.recovery().manifest_resets, 1u);
+    EXPECT_EQ(resumed.recovery().shards_reused, 0u);
+    EXPECT_EQ(resumed.recovery().stale_shards_removed, shard_total(corpus));
   }
-  dataset::StreamingCorpus resumed(
-      corpus, streaming_options(dir_, 1, /*resume=*/true));
-  auto stats = resumed.run();
-  ASSERT_TRUE(stats.ok()) << stats.error().message;
-  expect_identical(baseline(), *stats);
-  EXPECT_EQ(resumed.recovery().manifest_resets, 1u);
-  EXPECT_EQ(resumed.recovery().shards_reused, 0u);
-  EXPECT_EQ(resumed.recovery().stale_shards_removed, shard_total(corpus));
 }
 
 // A stale spill directory full of junk — torn temps, foreign shard files,
