@@ -2,14 +2,17 @@
 // frozen string-keyed seed implementation (model/baseline_model.h), on the
 // same corpus in the same run.
 //
-// Emits BENCH_model.json through bench/report.h, which gates
-// fused_batch.pages_per_sec against the committed copy (see the gate table
-// there). The in-run gate: fused replay_batch throughput (the consume
-// overload — the in-place corpus-replay fast path) must be >= 3x the
-// string-keyed baseline, both sides measured in the same run.
-// Allocation counts come from a global operator new hook: total allocations
-// per page for the baseline loop vs the interned fused path, plus the
-// steady-state count for a second fused pass over warmed per-thread scratch.
+// The in-run check: fused replay_batch throughput (the consume overload —
+// the in-place corpus-replay fast path) must be >= 3x the string-keyed
+// baseline, both sides measured in the same run. Allocation counts come
+// from a global operator new hook: total allocations per page for the
+// baseline loop vs the interned fused path, plus the steady-state count for
+// a second fused pass over warmed per-thread scratch. At the default
+// --sites and --seed the page count and the two serial legs' allocation
+// counts are pinned exactly; the 8-thread legs are not, because work
+// stealing decides which worker's scratch warms up on which page. Any other
+// size prints that the pins were not checked. Wall-clock is recorded, not
+// gated. Emits BENCH_model.json through bench/report.h.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -78,10 +81,12 @@ double pages_per_sec(std::size_t pages, double ms) {
 
 int main(int argc, char** argv) {
   using namespace origin;
-  auto args = bench::Args::parse(argc, argv);
+  const bench::Args defaults{};
+  const auto args = bench::Args::parse(argc, argv, defaults);
   bench::print_header(
       "Model hot path: interned-ID batch replay vs string-keyed baseline",
-      "engineering bench (no paper figure); ISSUE gate: fused >= 3x baseline",
+      "engineering bench (no paper figure); in-run check: fused >= 3x "
+      "baseline",
       args);
 
   const std::size_t threads = 8;
@@ -174,8 +179,9 @@ int main(int argc, char** argv) {
   report("replay_batch (consume, warm)", fused_consume_warm);
   report("replay_batch (consume)", fused_consume);
   report("replay_batch (consume, 1t)", fused_serial);
-  std::printf("\nfused speedup vs string-keyed baseline: %.2fx (gate: 3x)\n",
-              speedup);
+  std::printf(
+      "\nfused speedup vs string-keyed baseline: %.2fx (in-run check: 3x)\n",
+      speedup);
 
   auto entry = [&](const Measurement& m) {
     util::Json::Object object;
@@ -195,17 +201,25 @@ int main(int argc, char** argv) {
   doc["reconstruct_batch"] = entry(reconstruct_run);
   doc["fused_batch_cold"] = entry(fused_run);
   doc["fused_batch_copying"] = entry(fused_copying);
-  doc["fused_batch"] = entry(fused_consume);  // gate + regression metric
+  doc["fused_batch"] = entry(fused_consume);  // the 3x check's fused side
   doc["fused_batch_serial"] = entry(fused_serial);
   doc["fused_speedup_vs_baseline"] = speedup;
   doc["peak_rss_bytes"] = bench::peak_rss_bytes();
-  const bool passed = speedup >= 3.0;
-  if (!passed) {
+  const bool fast_enough = speedup >= 3.0;
+  if (!fast_enough) {
     std::fprintf(stderr,
                  "FAIL: fused batch is %.2fx the string-keyed baseline "
-                 "(acceptance gate is 3x)\n",
+                 "(in-run check: 3x)\n",
                  speedup);
   }
-  return bench::publish(util::Json(std::move(doc)), passed,
-                        bench::kModelGate);
+  const bool pinned = bench::default_run_pins_hold(
+      args.sites == defaults.sites && args.seed == defaults.seed,
+      {
+          {"pages", pages, 10'000},
+          {"baseline_string_serial.allocations", baseline_run.allocations,
+           3'490'364},
+          {"fused_batch_serial.allocations", fused_serial.allocations, 48},
+      });
+  return bench::publish(util::Json(std::move(doc)), fast_enough && pinned,
+                        "model");
 }

@@ -7,8 +7,9 @@
 // digest of the serialized HAR stream per run — the digest must be
 // identical across thread counts (the determinism contract; also enforced
 // bitwise by pipeline_determinism_test), and a run where it is not fails
-// and leaves the committed copy alone. Wall-clock speedups are only meaningful on a
-// multi-core host; on one core the interesting column is the digest.
+// and writes no report. Wall-clock is recorded, not gated, and speedups
+// are only meaningful on a multi-core host; on one core the interesting
+// column is the digest.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -135,5 +136,5 @@ int main(int argc, char** argv) {
   doc["peak_rss_bytes"] = bench::peak_rss_bytes();
   doc["runs"] = util::Json(std::move(run_array));
   return bench::publish(util::Json(std::move(doc)), deterministic,
-                        bench::kPipelineGate);
+                        "pipeline");
 }

@@ -1521,7 +1521,7 @@ FaultCell run_fault_cell(double rate, bool degraded, std::uint64_t seed) {
 struct KillSwitchReplay {
   int loads_until_disabled = -1;
   std::uint64_t suppressed = 0;
-  bool control_unaffected = false;
+  bool control_unaffected = true;  // every control load succeeded
   bool suppressed_load_ok = false;
   bool reenabled = false;
 };
@@ -1556,7 +1556,7 @@ KillSwitchReplay run_kill_switch_replay() {
   };
   for (int i = 0; i < 8 && !ks.disabled("affected"); ++i) {
     (void)run_tagged("affected");
-    replay.control_unaffected = run_tagged("control").har.success;
+    replay.control_unaffected &= run_tagged("control").har.success;
     replay.loads_until_disabled = i + 1;
   }
   const auto suppressed_load = run_tagged("affected");

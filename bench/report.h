@@ -1,18 +1,19 @@
-// The one report path for the benches that keep a committed baseline.
+// The one report path for the engineering benches.
 //
-// A bench builds its BENCH_<name>.json document, runs its own in-run checks,
-// and hands both to publish() together with its row of the gate table
-// below. publish() stamps the host, writes the file to the working
-// directory, gates one metric against the committed copy at the repo root,
-// and refreshes that copy only when the run passed, the gate held, and the
-// row's coverage rule allows it. A missing or unparsable committed copy is
-// no baseline: the gate is skipped and the copy is written.
+// A bench builds its BENCH_<name>.json document, runs its own in-run checks
+// (golden equality, digests, exact pins on the work it timed), and hands
+// both to publish(). A passing run gets a host stamp and is written to the
+// working directory; a failing run writes nothing. Nothing here reads a
+// committed copy, so a bench run from the repo root is how a committed
+// record is refreshed, and a run anywhere else leaves the tree alone.
+// Wall-clock numbers are recorded, never gated: throughput is compared in
+// the repository benchmark's back-to-back parent/change pairs.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <optional>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,60 +22,6 @@
 #include "util/result.h"
 
 namespace origin::bench {
-
-// Reads a gate metric from a BENCH_*.json document, fresh or committed;
-// nullopt when the document lacks it.
-using Metric = std::optional<double> (*)(const util::Json& doc);
-
-enum class Better { kHigher, kLower };
-
-// One row of the gate table.
-struct Gate {
-  const char* name;  // the file is BENCH_<name>.json
-  const char* metric_name = nullptr;
-  Metric metric = nullptr;  // nullptr: no regression gate
-  // The run fails when the fresh metric is worse than the limit
-  // committed * factor + points.
-  Better better = Better::kHigher;
-  double factor = 1.0;
-  double points = 0.0;
-  // A top-level count. When set, the committed copy is refreshed only if
-  // the fresh count is at least the committed one, so a smaller run gates
-  // against a larger baseline without replacing it.
-  const char* coverage = nullptr;
-};
-
-inline std::optional<double> number(const util::Json& value) {
-  if (!value.is_number()) return std::nullopt;
-  return value.as_double();
-}
-
-// The gate table: one row per bench that writes a committed baseline.
-inline constexpr Gate kModelGate{
-    .name = "model",
-    .metric_name = "fused_batch.pages_per_sec",
-    .metric = [](const util::Json& doc) {
-      return number(doc["fused_batch"]["pages_per_sec"]);
-    },
-    .factor = 0.9};
-inline constexpr Gate kCorpusGate{
-    .name = "corpus",
-    .metric_name = "streamed.sites_per_sec",
-    .metric = [](const util::Json& doc) {
-      return number(doc["streamed"]["sites_per_sec"]);
-    },
-    .factor = 0.9,
-    .coverage = "eligible_sites"};
-inline constexpr Gate kCrashGate{
-    .name = "crash",
-    .metric_name = "max_recovery_overhead_pct",
-    .metric = [](const util::Json& doc) {
-      return number(doc["max_recovery_overhead_pct"]);
-    },
-    .better = Better::kLower,
-    .points = 10.0,
-    .coverage = "sites"};
-inline constexpr Gate kPipelineGate{.name = "pipeline"};
 
 inline bool write_text(const std::string& path, const std::string& contents) {
   std::ofstream out(path);
@@ -92,7 +39,7 @@ inline util::Result<util::Json> read_json(const std::string& path) {
   return util::Json::parse(buffer.str());
 }
 
-// Which machine and build produced a report; no gate reads it.
+// Which machine and build produced a report; no check reads it.
 inline util::Json host_stamp() {
   util::Json::Object host;
   host["nproc"] =
@@ -102,44 +49,51 @@ inline util::Json host_stamp() {
   return util::Json(std::move(host));
 }
 
-// Returns the bench's exit status: 0 when `passed` (the bench's own in-run
-// checks), the gate held and every file was written.
-inline int publish(util::Json doc, bool passed, const Gate& gate,
-                   const std::string& committed_dir = ORIGIN_REPO_ROOT) {
-  doc["host"] = host_stamp();
-  const std::string rendered = doc.dump(2) + "\n";
-  const std::string file = std::string("BENCH_") + gate.name + ".json";
-  if (!write_text(file, rendered)) return 1;
-  std::printf("wrote %s\n", file.c_str());
+// One exact value of the work a bench did, and the value it must equal.
+struct Pin {
+  std::string field;
+  util::Json fresh;
+  util::Json pinned;
+};
 
-  const std::string committed_path = committed_dir + "/" + file;
-  const auto read = read_json(committed_path);
-  const util::Json committed = read.ok() ? *read : util::Json();
-  const util::Json& fresh = doc;
-  bool ok = passed;
-  if (gate.metric != nullptr) {
-    const auto now = gate.metric(fresh);
-    const auto before = gate.metric(committed);
-    if (now && before) {
-      const double limit = *before * gate.factor + gate.points;
-      if (gate.better == Better::kHigher ? *now < limit : *now > limit) {
-        std::fprintf(stderr,
-                     "FAIL: %s regressed vs the committed baseline "
-                     "(%g -> %g, limit %g); leaving %s untouched\n",
-                     gate.metric_name, *before, *now, limit,
-                     committed_path.c_str());
-        ok = false;
-      }
-    }
+// Prints a FAIL line naming each field whose fresh value differs from its
+// pinned one; returns whether every pin held.
+inline bool pins_hold(std::initializer_list<Pin> pins) {
+  bool held = true;
+  for (const Pin& pin : pins) {
+    const std::string fresh = pin.fresh.dump();
+    const std::string pinned = pin.pinned.dump();
+    if (fresh == pinned) continue;
+    std::fprintf(stderr, "FAIL: %s: pinned %s, got %s\n", pin.field.c_str(),
+                 pinned.c_str(), fresh.c_str());
+    held = false;
   }
-  const bool covers =
-      gate.coverage == nullptr ||
-      fresh[gate.coverage].double_or(0) >= committed[gate.coverage].double_or(0);
-  if (ok && covers) {
-    if (!write_text(committed_path, rendered)) return 1;
-    std::printf("wrote %s\n", committed_path.c_str());
+  return held;
+}
+
+// Pins taken from a bench's default run hold only at its default --sites
+// and --seed (`at_default`); at any other size they are not checked.
+inline bool default_run_pins_hold(bool at_default,
+                                  std::initializer_list<Pin> pins) {
+  if (!at_default) {
+    std::printf("pins not checked: they hold at the default --sites and "
+                "--seed only\n");
+    return true;
   }
-  return ok ? 0 : 1;
+  const bool held = pins_hold(pins);
+  std::printf("pins of the default run: %s\n", held ? "hold" : "MOVED");
+  return held;
+}
+
+// Returns the bench's exit status: 0 when `passed` (the bench's own in-run
+// checks) and BENCH_<name>.json was written to the working directory.
+inline int publish(util::Json doc, bool passed, const std::string& name) {
+  if (!passed) return 1;  // its FAIL lines say why; nothing is written
+  const std::string file = "BENCH_" + name + ".json";
+  doc["host"] = host_stamp();
+  if (!write_text(file, doc.dump(2) + "\n")) return 1;
+  std::printf("wrote %s\n", file.c_str());
+  return 0;
 }
 
 }  // namespace origin::bench

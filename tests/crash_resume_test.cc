@@ -120,11 +120,12 @@ struct CrashCase {
 };
 
 // The full kill–resume matrix: every crash-point class through
-// generate/encode/spill/manifest-append/analyze, at 1 and 8 threads. After
-// the injected kill, a resumed run must (a) reproduce the uninterrupted
-// StreamStats bit for bit, (b) reuse journaled shards instead of
-// regenerating them (shards_regenerated stays 0 after a clean kill), and
-// (c) leave a clean spill directory behind.
+// generate/encode/spill/manifest-append/analyze, killed at 1 and 8 threads
+// and each kill resumed at 1 and 8 threads, so a run killed at one thread
+// count resumes at the other too. After the injected kill, a resumed run
+// must (a) reproduce the uninterrupted StreamStats bit for bit, (b) reuse
+// journaled shards instead of regenerating them (shards_regenerated stays 0
+// after a clean kill), and (c) leave a clean spill directory behind.
 TEST_F(CrashResumeTest, KillResumeMatrixIsBitIdentical) {
   // durable.* counts skip hit 1: the fresh manifest-header write funnels
   // through durable_write_file before any shard does.
@@ -135,35 +136,39 @@ TEST_F(CrashResumeTest, KillResumeMatrixIsBitIdentical) {
       {"analyze.shard", 2},
   };
   dataset::Corpus corpus(corpus_options());
+  constexpr std::size_t kThreadCounts[] = {1, 8};
   for (const CrashCase& c : kCases) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-      SCOPED_TRACE(std::string(c.point) + " threads=" +
-                   std::to_string(threads));
-      std::filesystem::remove_all(dir_);
+    for (const std::size_t kill_threads : kThreadCounts) {
+      for (const std::size_t resume_threads : kThreadCounts) {
+        SCOPED_TRACE(std::string(c.point) +
+                     " kill_threads=" + std::to_string(kill_threads) +
+                     " resume_threads=" + std::to_string(resume_threads));
+        std::filesystem::remove_all(dir_);
 
-      // The doomed run: the armed point fires once and the run errors out
-      // mid-pipeline, leaving whatever it had committed so far.
-      util::crash::arm(c.point, c.count, /*soft=*/true);
-      dataset::StreamingCorpus doomed(
-          corpus, streaming_options(dir_, threads, /*resume=*/false));
-      auto crashed = doomed.run();
-      ASSERT_FALSE(crashed.ok()) << c.point << " did not fire";
-      ASSERT_FALSE(util::crash::armed());
+        // The doomed run: the armed point fires once and the run errors
+        // out mid-pipeline, leaving whatever it had committed so far.
+        util::crash::arm(c.point, c.count, /*soft=*/true);
+        dataset::StreamingCorpus doomed(
+            corpus, streaming_options(dir_, kill_threads, /*resume=*/false));
+        auto crashed = doomed.run();
+        ASSERT_FALSE(crashed.ok()) << c.point << " did not fire";
+        ASSERT_FALSE(util::crash::armed());
 
-      // The resumed run: replays the journal, finishes the rest.
-      dataset::StreamingCorpus resumed(
-          corpus, streaming_options(dir_, threads, /*resume=*/true));
-      auto stats = resumed.run();
-      ASSERT_TRUE(stats.ok()) << stats.error().message;
-      expect_identical(baseline(), *stats);
+        // The resumed run: replays the journal, finishes the rest.
+        dataset::StreamingCorpus resumed(
+            corpus, streaming_options(dir_, resume_threads, /*resume=*/true));
+        auto stats = resumed.run();
+        ASSERT_TRUE(stats.ok()) << stats.error().message;
+        expect_identical(baseline(), *stats);
 
-      // A shard the journal recorded complete is never rebuilt.
-      EXPECT_EQ(resumed.recovery().shards_regenerated, 0u);
-      EXPECT_EQ(resumed.recovery().shards_quarantined, 0u);
-      EXPECT_EQ(resumed.recovery().manifest_resets, 0u);
-      // The completed sweep retires the spill state.
-      EXPECT_FALSE(std::filesystem::exists(
-          dataset::manifest_file_path(dir_)));
+        // A shard the journal recorded complete is never rebuilt.
+        EXPECT_EQ(resumed.recovery().shards_regenerated, 0u);
+        EXPECT_EQ(resumed.recovery().shards_quarantined, 0u);
+        EXPECT_EQ(resumed.recovery().manifest_resets, 0u);
+        // The completed sweep retires the spill state.
+        EXPECT_FALSE(std::filesystem::exists(
+            dataset::manifest_file_path(dir_)));
+      }
     }
   }
 }
