@@ -28,8 +28,12 @@
 // Flags: --sites (default 20,000; needs >= 3 shards, so keep sites
 // comfortably above 3 * 4,096 eligible) and --dir (spill dir, default
 // bench_crash_spill).
+#include <fcntl.h>
+#include <spawn.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -75,8 +79,8 @@ constexpr CrashPoint kMatrix[] = {
 
 // --- child ----------------------------------------------------------------
 
-// One full streamed run over the spill dir. ORIGIN_CRASH_AT (inherited from
-// the supervisor's env prefix) kills it at the armed boundary;
+// One full streamed run over the spill dir. ORIGIN_CRASH_AT (set by the
+// supervisor in the child's environment) kills it at the armed boundary;
 // ORIGIN_RESUME=1 makes it replay the journal first. On success the
 // StreamStats digests and RecoveryStats land in `out` as JSON.
 int run_child(std::size_t sites, std::uint64_t seed, const std::string& dir,
@@ -136,17 +140,50 @@ int run_child(std::size_t sites, std::uint64_t seed, const std::string& dir,
 
 // --- supervisor -----------------------------------------------------------
 
-// Runs one child with the given env prefix; returns its exit status, or -1
-// when it died without exiting (signal).
-int spawn_child(const std::string& self, const std::string& env_prefix,
+// Runs one child: the inherited environment plus `env_pair` ("NAME=value",
+// replacing any inherited NAME; empty adds nothing), stdout and stderr
+// into `log`. No shell: every path reaches the child as one argv element,
+// whatever it holds. Returns the child's exit status, or -1 when it could
+// not start or died without exiting (signal).
+int spawn_child(const std::string& self, const std::string& env_pair,
                 std::size_t sites, std::uint64_t seed, const std::string& dir,
                 const std::string& out, const std::string& log) {
-  std::string cmd = env_prefix + " " + self + " --child --sites " +
-                    std::to_string(sites) + " --seed " + std::to_string(seed) +
-                    " --dir " + dir + " --out " + out + " > " + log + " 2>&1";
-  const int rc = std::system(cmd.c_str());
-  if (rc == -1 || !WIFEXITED(rc)) return -1;
-  return WEXITSTATUS(rc);
+  std::vector<std::string> args = {self,    "--child",
+                                   "--sites", std::to_string(sites),
+                                   "--seed",  std::to_string(seed),
+                                   "--dir",   dir,
+                                   "--out",   out};
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+
+  std::string pair = env_pair;
+  const std::string name = pair.substr(0, pair.find('=') + 1);
+  std::vector<char*> envp;
+  for (char** entry = environ; *entry != nullptr; ++entry) {
+    if (name.empty() || std::strncmp(*entry, name.c_str(), name.size()) != 0) {
+      envp.push_back(*entry);
+    }
+  }
+  if (!pair.empty()) envp.push_back(pair.data());
+  envp.push_back(nullptr);
+
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO, log.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  posix_spawn_file_actions_adddup2(&actions, STDOUT_FILENO, STDERR_FILENO);
+  pid_t pid = 0;
+  const int spawned = posix_spawnp(&pid, self.c_str(), &actions, nullptr,
+                                   argv.data(), envp.data());
+  posix_spawn_file_actions_destroy(&actions);
+  if (spawned != 0) return -1;
+  int status = 0;
+  while (waitpid(pid, &status, 0) < 0) {
+    if (errno != EINTR) return -1;
+  }
+  if (!WIFEXITED(status)) return -1;
+  return WEXITSTATUS(status);
 }
 
 void dump_log(const std::string& log) {
@@ -213,7 +250,7 @@ int main(int argc, char** argv) {
   // Leg 1: uninterrupted baseline.
   std::filesystem::remove_all(spill_dir);
   auto t0 = std::chrono::steady_clock::now();
-  int rc = spawn_child(self, "env", args.sites, args.seed, spill_dir,
+  int rc = spawn_child(self, "", args.sites, args.seed, spill_dir,
                        child_out, child_log);
   const double baseline_ms = bench::ms_since(t0);
   if (rc != 0) {
@@ -308,7 +345,7 @@ int main(int argc, char** argv) {
     row["shards_regenerated"] = regenerated;
     row["shards_quarantined"] = quarantined;
     row["manifest_resets"] = resets;
-    matrix.push_back(Json(std::move(row)));
+    matrix.emplace_back(std::move(row));
   }
 
   // Leg 3: corruption — clean kill at the analyze boundary leaves every

@@ -45,10 +45,16 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+// Every delete frees through one out-of-line function. Inlined into a
+// caller, a replacement delete's free() meets a pointer GCC saw come from
+// operator new and draws -Wmismatched-new-delete, although the operator new
+// above allocates with malloc.
+[[gnu::noinline]] static void release(void* ptr) noexcept { std::free(ptr); }
+
+void operator delete(void* ptr) noexcept { release(ptr); }
+void operator delete[](void* ptr) noexcept { release(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { release(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept { release(ptr); }
 
 namespace {
 

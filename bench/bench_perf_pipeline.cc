@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
     run["total_ms"] = r.total_ms();
     run["speedup_vs_serial"] = runs.front().total_ms() / r.total_ms();
     run["har_digest"] = digest;
-    run_array.push_back(util::Json(std::move(run)));
+    run_array.emplace_back(std::move(run));
   }
   util::Json::Object doc;
   doc["bench"] = "pipeline";

@@ -969,9 +969,7 @@ void cert_size_ablation(std::FILE* out) {
     }
     auto cert = ca.issue("example.com", names,
                          origin::util::SimTime::from_micros(0));
-    tls::CertificateChain chain;
-    chain.leaf = *cert;
-    auto result = tls::simulate_handshake(chain);
+    auto result = tls::simulate_handshake(*cert);
     table.add_row({std::to_string(sans),
                    util::format_count(result.chain_bytes),
                    std::to_string(result.tls_records),
@@ -992,7 +990,10 @@ void cert_size_ablation(std::FILE* out) {
     tls::CertificateAuthority test_ca(issuer.name, 0x11, issuer.max_san_entries);
     std::vector<std::string> names;
     for (int i = 0; i < 101; ++i) {
-      names.push_back("n" + std::to_string(i) + ".example.org");
+      std::string name = "n";
+      name += std::to_string(i);
+      name += ".example.org";
+      names.push_back(std::move(name));
     }
     auto attempt = test_ca.issue("example.org", names,
                                  origin::util::SimTime::from_micros(0));

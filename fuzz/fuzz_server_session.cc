@@ -107,12 +107,12 @@ std::string run_scenario(std::uint8_t mode, const std::uint8_t* payload,
   const auto addr = origin::dns::IpAddress::v4(1);
   server.listen(net, addr);
 
-  Bytes wire;
-  if (with_preface) {
-    wire.assign(origin::h2::kClientPreface.begin(),
-                origin::h2::kClientPreface.end());
-  }
-  wire.insert(wire.end(), payload, payload + payload_size);
+  const std::size_t preface =
+      with_preface ? origin::h2::kClientPreface.size() : 0;
+  Bytes wire(preface + payload_size);
+  std::copy_n(origin::h2::kClientPreface.begin(), preface, wire.begin());
+  std::copy_n(payload, payload_size,
+              wire.begin() + static_cast<std::ptrdiff_t>(preface));
 
   auto log = std::make_shared<ClientLog>();
   net.connect(

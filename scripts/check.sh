@@ -4,7 +4,9 @@
 #
 # Runs, in order:
 #   1. tier-1: default build + full ctest (includes the origin_analyze
-#      gates and the deterministic fuzz-corpus replays)
+#      gates and the deterministic fuzz-corpus replays). The build treats
+#      every compiler warning as an error (CMAKE_COMPILE_WARNING_AS_ERROR,
+#      CMake 3.24+), so a new warning fails the leg instead of scrolling by
 #   2. the repository benchmark's own tests: perfbench/ configured as its
 #      own project into build-perfbench + its ctest. TracedCorpus.* sets
 #      the library's folded HAR digest (StreamingCorpus::run at 1 and 4
@@ -52,13 +54,15 @@
 #      across a reused shard) with ORIGIN_THREADS=8, so every shard path
 #      and the lanes' error path run contended under the race detector
 #  11. paper run + engineering benches: Release build of bench_paper, the
-#      perf benches and the crash ablation. bench_paper's default run must
-#      equal the committed bench_output.txt byte for byte (the Repro column
-#      of EXPERIMENTS.md quotes that file). That diff also pins every number
-#      of the fault and overload ablations, and their in-run checks fail
-#      the leg through bench_paper's exit status. Then the four engineering
-#      benches run at their default sizes from inside build-perf, so their
-#      BENCH_*.json reports and spill directories land there. Each exits
+#      perf benches and the crash ablation, warnings as errors as in leg 1
+#      (Release inlining finds some that leg 1 cannot). bench_paper's
+#      default run must equal the committed bench_output.txt byte for
+#      byte (the Repro column of EXPERIMENTS.md quotes that file). That
+#      diff also pins every number of the fault and overload ablations,
+#      and their in-run checks fail the leg through bench_paper's exit
+#      status. Then the four engineering benches run at their default
+#      sizes from inside build-perf, so their BENCH_*.json reports and
+#      spill directories land there. Each exits
 #      non-zero when an in-run check fails: golden equality, digests, the
 #      exact pins on the work it did (bench/report.h), or the model
 #      bench's fused >= 3x baseline. No wall-clock number is gated here;
@@ -83,7 +87,7 @@ run_suite() {
 }
 
 echo "==> [1/11] tier-1 build + ctest (analyze + fuzz replays included)"
-run_suite build
+run_suite build -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 
 echo "==> [2/11] perfbench tests (library digest vs perfbench's text digest)"
 cmake -B build-perfbench -S perfbench -DCMAKE_BUILD_TYPE=Release
@@ -147,7 +151,8 @@ ORIGIN_THREADS=8 ctest --test-dir build-tsan --output-on-failure \
   -R 'ThreadPool|PipelineDeterminism|FaultDeterminism|BitIdenticalAcrossThreadCounts|CrashResumeTest.KillResumeMatrixIsBitIdentical|CrashResumeTest.ResumeRebuildsNonContiguousShards'
 
 echo "==> [11/11] paper run + engineering benches (Release, in-run checks)"
-cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release
+cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build-perf -j "$JOBS" \
   --target bench_paper bench_perf_pipeline bench_perf_model \
            bench_perf_corpus bench_ablation_crash

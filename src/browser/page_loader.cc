@@ -50,7 +50,10 @@ web::PageLoad PageLoader::load(const web::Webpage& page) {
   // each trial used a new browser session to kill caching effects).
   origin::util::Rng page_rng = rng_.fork(page.tranco_rank + 1);
   dns::Resolver resolver(env_.dns(), options_.resolver, page_rng.next());
+  // Each resource opens at most one connection, so this reserve keeps
+  // every pool entry where it is: records point at their own origin set.
   std::vector<LiveConnection> pool;
+  pool.reserve(page.resources.size());
 
   result.entries.reserve(page.resources.size());
   for (std::size_t i = 0; i < page.resources.size(); ++i) {
@@ -209,9 +212,7 @@ web::PageLoad PageLoader::load(const web::Webpage& page) {
       if (!quic) entry.timings.connect = link.rtt();
 
       if (res.secure) {
-        tls::CertificateChain chain;
-        chain.leaf = *service->certificate;
-        auto handshake = tls::simulate_handshake(chain);
+        auto handshake = tls::simulate_handshake(*service->certificate);
         // The handshake model reports round trips; price them at this
         // link's RTT. QUIC folds transport setup into the same flight.
         entry.timings.ssl =
@@ -229,7 +230,7 @@ web::PageLoad PageLoader::load(const web::Webpage& page) {
             static_cast<std::int64_t>(service->certificate->san_dns.size());
         (void)env_.trust_store().validate(*service->certificate, res.hostname,
                                           ready);
-        conn.record.certificate = *service->certificate;
+        conn.record.certificate = service->certificate.get();
         // Speculative duplicate socket (§4.2): costs a handshake, carries
         // nothing.
         if (h2_capable &&
@@ -243,13 +244,13 @@ web::PageLoad PageLoader::load(const web::Webpage& page) {
       h2::Origin initial;
       initial.scheme = res.secure ? "https" : "http";
       initial.host = res.hostname;
-      conn.record.origin_set = h2::OriginSet(initial);
+      conn.origin_set = h2::OriginSet(initial);
       if (h2_capable && service->origin_frame_enabled) {
-        conn.record.origin_set.apply_origin_frame(
-            service->origin_advertisement);
+        conn.origin_set.apply_origin_frame(service->origin_advertisement);
       }
       pool.push_back(std::move(conn));
       chosen = &pool.back();
+      chosen->record.origin_set = &chosen->origin_set;
     }
 
     entry.connection_id = chosen->record.id;

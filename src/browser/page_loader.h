@@ -56,7 +56,8 @@ class PageLoader {
 
  private:
   struct LiveConnection {
-    ConnectionRecord record;
+    ConnectionRecord record;  // its origin_set points at origin_set below
+    h2::OriginSet origin_set{h2::Origin{}};
     const Service* service = nullptr;
     // h1 connections serialize requests; busy_until gates reuse.
     origin::util::SimTime busy_until;

@@ -7,7 +7,15 @@ namespace origin::browser {
 namespace {
 
 bool cert_covers(const ConnectionRecord& conn, const std::string& hostname) {
-  return conn.certificate.covers(hostname);
+  return conn.certificate != nullptr && conn.certificate->covers(hostname);
+}
+
+// Has an ORIGIN frame put `hostname` in the connection's origin set?
+bool origin_set_admits(const ConnectionRecord& conn,
+                       const std::string& hostname) {
+  return conn.origin_set != nullptr &&
+         conn.origin_set->received_origin_frame() &&
+         conn.origin_set->contains(hostname);
 }
 
 bool contains(const std::vector<dns::IpAddress>& haystack,
@@ -64,8 +72,7 @@ ReuseDecision FirefoxTransitivePolicy::evaluate(
   }
   // ORIGIN frame first: an explicit origin set admits the hostname without
   // address checks (the DNS query still happened and was counted).
-  if (conn.origin_set.received_origin_frame() &&
-      conn.origin_set.contains(hostname)) {
+  if (origin_set_admits(conn, hostname)) {
     decision.reuse = true;
     decision.reason = "origin-set member";
     return decision;
@@ -83,9 +90,8 @@ ReuseDecision FirefoxTransitivePolicy::evaluate(
 
 bool OriginFramePolicy::can_decide_without_dns(
     const ConnectionRecord& conn, const std::string& hostname) const {
-  return conn.http2 && conn.origin_set.received_origin_frame() &&
-         conn.origin_set.contains(hostname) &&
-         conn.certificate.covers(hostname);
+  return conn.http2 && origin_set_admits(conn, hostname) &&
+         cert_covers(conn, hostname);
 }
 
 ReuseDecision OriginFramePolicy::evaluate(
@@ -97,9 +103,7 @@ ReuseDecision OriginFramePolicy::evaluate(
     decision.reason = "h1 connection";
     return decision;
   }
-  if (conn.origin_set.received_origin_frame() &&
-      conn.origin_set.contains(hostname) &&
-      conn.certificate.covers(hostname)) {
+  if (origin_set_admits(conn, hostname) && cert_covers(conn, hostname)) {
     decision.reuse = true;
     decision.dns_consulted = false;
     decision.reason = "origin-set member, no dns";
@@ -107,7 +111,7 @@ ReuseDecision OriginFramePolicy::evaluate(
   }
   // Fallback: behave like Firefox's transitive IP coalescing.
   decision.dns_consulted = true;
-  if (!conn.certificate.covers(hostname)) {
+  if (!cert_covers(conn, hostname)) {
     decision.reason = "certificate does not cover hostname";
     return decision;
   }

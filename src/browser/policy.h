@@ -38,8 +38,10 @@ struct ConnectionRecord {
   std::string sni;                          // hostname it was opened for
   dns::IpAddress connected_address;         // the address in use
   std::vector<dns::IpAddress> available_set;  // full DNS answer at connect
-  tls::Certificate certificate;             // as validated at handshake
-  h2::OriginSet origin_set{h2::Origin{}};   // updated by ORIGIN frames
+  // Both read where they live, never copied per connection or candidate;
+  // each outlives the record. Null covers nothing and admits nothing.
+  const tls::Certificate* certificate = nullptr;  // as validated at handshake
+  const h2::OriginSet* origin_set = nullptr;  // updated by ORIGIN frames
   bool http2 = true;                        // h1 connections never coalesce
   std::string pool_key;                     // "cred" / "anon" partition
 };

@@ -70,7 +70,15 @@ void WireClient::load(const web::Webpage& page,
     entry.content_type = page.resources[i].content_type;
     entry.mode = page.resources[i].mode;
     entry.version = page.resources[i].version;
+    if (page.resources[i].parent >= 0) {
+      state->children.push_back(static_cast<int>(i));
+    }
   }
+  std::stable_sort(state->children.begin(), state->children.end(),
+                   [&page](int a, int b) {
+                     return page.resources[static_cast<std::size_t>(a)].parent <
+                            page.resources[static_cast<std::size_t>(b)].parent;
+                   });
   if (page.resources.empty()) {
     finish_load(state, true);
     return;
@@ -219,10 +227,6 @@ void WireClient::dispatch(std::shared_ptr<LoadState> state, int resource_index,
           conn->record.pool_key != pool_key) {
         continue;
       }
-      // Keep the policy view of the origin set fresh from the live h2
-      // connection (ORIGIN frames may have arrived since the record was
-      // created).
-      conn->record.origin_set = conn->h2->origin_set();
       if (conn->record.sni == res.hostname) {
         ++state->result.coalesced_requests;
         send_request(state, resource_index, conn, true);
@@ -274,7 +278,6 @@ void WireClient::dispatch(std::shared_ptr<LoadState> state, int resource_index,
           ++state->result.robustness.avoided_coalescings;
           continue;
         }
-        conn->record.origin_set = conn->h2->origin_set();
         auto decision =
             policy_->evaluate(conn->record, res.hostname, answer.addresses);
         if (decision.reuse) {
@@ -375,9 +378,7 @@ void WireClient::open_connection(std::shared_ptr<LoadState> state,
           }
           return;
         }
-        tls::CertificateChain chain;
-        chain.leaf = *service->certificate;
-        auto handshake = tls::simulate_handshake(chain);
+        auto handshake = tls::simulate_handshake(*service->certificate);
         if (!handshake.ok) {
           complete_resource(state, resource_index, false,
                             "ssl protocol error (oversized certificate)");
@@ -405,7 +406,7 @@ void WireClient::open_connection(std::shared_ptr<LoadState> state,
         conn->record.sni = res.hostname;
         conn->record.connected_address = address;
         conn->record.available_set = answer.addresses;
-        conn->record.certificate = *service->certificate;
+        conn->record.certificate = service->certificate.get();
         conn->record.http2 = true;
         conn->record.pool_key =
             (res.mode == web::RequestMode::kCorsAnonymous ||
@@ -416,7 +417,9 @@ void WireClient::open_connection(std::shared_ptr<LoadState> state,
         initial.host = res.hostname;
         conn->h2 = std::make_shared<h2::Connection>(
             h2::Connection::Role::kClient, initial);
-        conn->record.origin_set = conn->h2->origin_set();
+        // The live set: ORIGIN frames that arrive later update it in place,
+        // and the h2 connection lives as long as the record does.
+        conn->record.origin_set = &conn->h2->origin_set();
 
         h2::ConnectionCallbacks callbacks;
         std::weak_ptr<LiveConnection> weak_conn = conn;
@@ -694,20 +697,27 @@ void WireClient::complete_resource(std::shared_ptr<LoadState> state,
   }
   ++state->completed;
   // Children become dispatchable after their parent's CPU-discovery delay.
-  for (std::size_t i = 0; i < state->page.resources.size(); ++i) {
-    const web::Resource& res = state->page.resources[i];
-    if (res.parent == resource_index) {
-      const int child = static_cast<int>(i);
-      if (success) {
-        network_.simulator().schedule(
-            Duration::millis(res.discovery_cpu_ms), [this, state, child]() {
-              if (state->finished) return;
-              dispatch(state, child, false);
-            });
-      } else {
-        // Parent failed: the child is never discovered.
-        complete_resource(state, child, false, "parent failed");
-      }
+  const std::vector<web::Resource>& resources = state->page.resources;
+  auto child = std::lower_bound(
+      state->children.begin(), state->children.end(), resource_index,
+      [&resources](int c, int parent) {
+        return resources[static_cast<std::size_t>(c)].parent < parent;
+      });
+  for (; child != state->children.end() &&
+         resources[static_cast<std::size_t>(*child)].parent == resource_index;
+       ++child) {
+    const int index = *child;
+    if (success) {
+      network_.simulator().schedule(
+          Duration::millis(
+              resources[static_cast<std::size_t>(index)].discovery_cpu_ms),
+          [this, state, index]() {
+            if (state->finished) return;
+            dispatch(state, index, false);
+          });
+    } else {
+      // Parent failed: the child is never discovered.
+      complete_resource(state, index, false, "parent failed");
     }
   }
   maybe_finish(state);
@@ -725,7 +735,9 @@ void WireClient::finish_load(std::shared_ptr<LoadState> state, bool complete) {
   if (state->finished) return;
   state->finished = true;
   state->result.complete = complete;
-  state->result.har = state->har;
+  // Every later event checks `finished` before it touches the HAR or the
+  // result, so both move out.
+  state->result.har = std::move(state->har);
   // Drain: close what is still open (reaping the netsim connection state)
   // and release this load from active_ so long-lived clients do not
   // accumulate finished loads.
@@ -736,7 +748,7 @@ void WireClient::finish_load(std::shared_ptr<LoadState> state, bool complete) {
     conn->alive = false;
   }
   std::erase(active_, state);
-  if (state->done) state->done(state->result);
+  if (state->done) state->done(std::move(state->result));
 }
 
 }  // namespace origin::browser

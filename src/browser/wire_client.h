@@ -98,6 +98,10 @@ class WireClient {
 
   struct LoadState {
     web::Webpage page;  // owned copy: loads outlive the caller's argument
+    // Indices of the resources that have a parent, ordered by parent and
+    // then by page order: a completion finds its children by binary search
+    // instead of scanning the page.
+    std::vector<int> children;
     web::PageLoad har;
     std::size_t completed = 0;
     std::vector<std::shared_ptr<LiveConnection>> pool;

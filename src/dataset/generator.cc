@@ -526,9 +526,10 @@ web::Webpage Corpus::page_for_site(std::size_t site_index) const {
     }
     dest_modes[d] = mode;
   }
-  // The site's own protocol is a deployment property, fixed per site.
-  const bool site_h11 =
-      site.provider == "Long Tail Hosting" && rng.bernoulli(0.20);
+  // A per-site protocol draw that nothing reads (ROADMAP item 2 may give
+  // it a use). The draw stays, so every later draw and every pinned world
+  // is unchanged.
+  if (site.provider == "Long Tail Hosting") (void)rng.bernoulli(0.20);
 
   int last_dest_index = -1;  // dests[] index of the previous third-party pick
   std::vector<int> candidates;  // dests[] indices of one organization

@@ -189,15 +189,12 @@ Bytes AbusiveClient::burst_bytes(std::size_t round) {
   Bytes wire;
   if (round == 0) {
     // Even attackers must complete the preface to get past frame parsing.
-    wire.insert(wire.end(), kClientPreface.begin(), kClientPreface.end());
-    SettingsFrame settings;
-    const Bytes frame = serialize_frame(Frame{settings});
-    wire.insert(wire.end(), frame.begin(), frame.end());
+    wire.assign(kClientPreface.begin(), kClientPreface.end());
+    serialize_frame(Frame{SettingsFrame{}}, wire);
     ++frames_sent_;
   }
   auto append = [this, &wire](const Frame& frame) {
-    const Bytes bytes = serialize_frame(frame);
-    wire.insert(wire.end(), bytes.begin(), bytes.end());
+    serialize_frame(frame, wire);
     ++frames_sent_;
   };
   switch (kind_) {

@@ -23,7 +23,7 @@ Connection::Connection(Role role, Origin initial_origin,
   // Connection preface: the client sends the magic octets; both sides then
   // send their initial SETTINGS (RFC 9113 §3.4).
   if (role_ == Role::kClient) {
-    output_.insert(output_.end(), kClientPreface.begin(), kClientPreface.end());
+    output_.assign(kClientPreface.begin(), kClientPreface.end());
   }
   SettingsFrame settings;
   settings.settings = local_settings_.diff_from_defaults();
@@ -36,30 +36,35 @@ Connection::Connection(Role role, Origin initial_origin,
   }
 }
 
-void Connection::enqueue(const Frame& frame) {
-  Bytes wire = serialize_frame(frame);
-  // analyze:allow(hot-transitive): the output queue is the connection's
-  // wire-bytes hand-off; frames append until take_output() drains it, and
-  // pre-reserving would require serializing every frame twice
-  output_.insert(output_.end(), wire.begin(), wire.end());
-}
+void Connection::enqueue(const Frame& frame) { serialize_frame(frame, output_); }
 
 Bytes Connection::take_output() { return std::exchange(output_, {}); }
 
-Stream* Connection::find_stream(std::uint32_t id) {
+Stream* Connection::mutable_stream(std::uint32_t id) {
   auto it = streams_.find(id);
   return it == streams_.end() ? nullptr : &it->second;
 }
 
-std::size_t Connection::active_stream_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(streams_.begin(), streams_.end(),
-                    [](const auto& kv) { return !kv.second.closed(); }));
+const Stream* Connection::find_stream(std::uint32_t id) const {
+  auto it = streams_.find(id);
+  return it == streams_.end() ? nullptr : &it->second;
 }
 
 std::uint64_t Connection::frames_received(FrameType type) const {
-  auto it = frame_counts_.find(type);
-  return it == frame_counts_.end() ? 0 : it->second;
+  const auto index = static_cast<std::uint8_t>(type);
+  if (index < frame_counts_.size()) return frame_counts_[index];
+  auto it = extension_frame_counts_.find(index);
+  return it == extension_frame_counts_.end() ? 0 : it->second;
+}
+
+void Connection::count_frame(FrameType type) {
+  const auto index = static_cast<std::uint8_t>(type);
+  if (index < frame_counts_.size()) {
+    ++frame_counts_[index];
+  } else {
+    ++extension_frame_counts_[index];
+  }
+  ++total_frames_received_;
 }
 
 Stream& Connection::ensure_stream(std::uint32_t id) {
@@ -69,8 +74,16 @@ Stream& Connection::ensure_stream(std::uint32_t id) {
              .emplace(id, Stream(id, remote_settings_.initial_window_size,
                                  local_settings_.initial_window_size))
              .first;
+    ++active_streams_;  // a new stream is idle, which is not closed
   }
   return it->second;
+}
+
+Status Connection::apply(Stream& stream, StreamEvent event) {
+  const bool was_closed = stream.closed();
+  Status status = stream.apply(event);
+  if (!was_closed && stream.closed()) --active_streams_;
+  return status;
 }
 
 Status Connection::connection_error(ErrorCode code, std::string message) {
@@ -98,9 +111,9 @@ Result<std::uint32_t> Connection::submit_request(
   const std::uint32_t id = next_stream_id_;
   next_stream_id_ += 2;
   Stream& stream = ensure_stream(id);
-  if (auto s = stream.apply(StreamEvent::kSendHeaders); !s.ok()) return s.error();
+  if (auto s = apply(stream, StreamEvent::kSendHeaders); !s.ok()) return s.error();
   if (end_stream) {
-    if (auto s = stream.apply(StreamEvent::kSendEndStream); !s.ok()) {
+    if (auto s = apply(stream, StreamEvent::kSendEndStream); !s.ok()) {
       return s.error();
     }
   }
@@ -118,11 +131,11 @@ Status Connection::submit_response(std::uint32_t stream_id,
   if (role_ != Role::kServer) {
     return make_error("h2: submit_response on client connection");
   }
-  Stream* stream = find_stream(stream_id);
+  Stream* stream = mutable_stream(stream_id);
   if (stream == nullptr) return make_error("h2: no such stream");
-  if (auto s = stream->apply(StreamEvent::kSendHeaders); !s.ok()) return s;
+  if (auto s = apply(*stream, StreamEvent::kSendHeaders); !s.ok()) return s;
   if (end_stream) {
-    if (auto s = stream->apply(StreamEvent::kSendEndStream); !s.ok()) return s;
+    if (auto s = apply(*stream, StreamEvent::kSendEndStream); !s.ok()) return s;
   }
   HeadersFrame frame;
   frame.stream_id = stream_id;
@@ -135,7 +148,7 @@ Status Connection::submit_response(std::uint32_t stream_id,
 Status Connection::submit_data(std::uint32_t stream_id,
                                std::span<const std::uint8_t> data,
                                bool end_stream) {
-  Stream* stream = find_stream(stream_id);
+  Stream* stream = mutable_stream(stream_id);
   if (stream == nullptr) return make_error("h2: no such stream");
   if (!stream->can_send_data()) {
     return make_error("h2: stream not writable");
@@ -162,7 +175,7 @@ Status Connection::submit_data(std::uint32_t stream_id,
   (void)send_window_.consume(n);
   (void)stream->send_window().consume(n);  // analyze:allow(error-discard): sized by the same available() check as the connection window above
   if (end_stream) {
-    if (auto s = stream->apply(StreamEvent::kSendEndStream); !s.ok()) return s;
+    if (auto s = apply(*stream, StreamEvent::kSendEndStream); !s.ok()) return s;
   }
   return {};
 }
@@ -206,9 +219,9 @@ void Connection::submit_goaway(ErrorCode error, const std::string& debug) {
 }
 
 Status Connection::submit_rst_stream(std::uint32_t stream_id, ErrorCode error) {
-  Stream* stream = find_stream(stream_id);
+  Stream* stream = mutable_stream(stream_id);
   if (stream == nullptr) return make_error("h2: no such stream");
-  if (auto s = stream->apply(StreamEvent::kSendRstStream); !s.ok()) return s;
+  if (auto s = apply(*stream, StreamEvent::kSendRstStream); !s.ok()) return s;
   RstStreamFrame frame;
   frame.stream_id = stream_id;
   frame.error = error;
@@ -221,7 +234,7 @@ Status Connection::submit_window_update(std::uint32_t stream_id,
   if (stream_id == 0) {
     if (auto s = recv_window_.replenish(increment); !s.ok()) return s;
   } else {
-    Stream* stream = find_stream(stream_id);
+    Stream* stream = mutable_stream(stream_id);
     if (stream == nullptr) return make_error("h2: no such stream");
     if (auto s = stream->recv_window().replenish(increment); !s.ok()) return s;
   }
@@ -251,16 +264,21 @@ Status Connection::receive(std::span<const std::uint8_t> bytes) {
     bytes = bytes.subspan(take);
     if (bytes.empty()) return {};
   }
-  auto frames = parser_.feed(bytes);
-  if (!frames.ok()) {
-    return connection_error(ErrorCode::kFrameSizeError, frames.error().message);
+  // The batch vector is reused across receives. It is moved out for the
+  // loop, so a callback that re-enters receive() gets a fresh one.
+  std::vector<Frame> frames = std::move(frames_);
+  if (auto s = parser_.feed(bytes, frames); !s.ok()) {
+    return connection_error(ErrorCode::kFrameSizeError, s.error().message);
   }
-  for (Frame& frame : frames.value()) {
-    frame_counts_[frame_type_of(frame)]++;
-    ++total_frames_received_;
-    if (auto s = handle_frame(std::move(frame)); !s.ok()) return s;
+  Status status;
+  for (Frame& frame : frames) {
+    count_frame(frame_type_of(frame));
+    status = handle_frame(std::move(frame));
+    if (!status.ok()) break;
   }
-  return {};
+  frames.clear();
+  frames_ = std::move(frames);
+  return status;
 }
 
 namespace {
@@ -285,6 +303,28 @@ Status Connection::check_header_list_size(const hpack::HeaderList& headers) {
                             "h2: header list exceeds "
                             "SETTINGS_MAX_HEADER_LIST_SIZE");
   }
+  return {};
+}
+
+Status Connection::finish_header_block(Stream& stream,
+                                       std::span<const std::uint8_t> block,
+                                       bool end_stream) {
+  // Decode into the connection's reused list; it is moved out for the
+  // callback, so a re-entrant receive() gets a fresh one.
+  hpack::HeaderList headers = std::move(headers_);
+  if (auto s = decoder_.decode(block, headers); !s.ok()) {
+    return connection_error(ErrorCode::kCompressionError, s.error().message);
+  }
+  if (auto s = check_header_list_size(headers); !s.ok()) return s;
+  if (end_stream) {
+    if (auto s = apply(stream, StreamEvent::kRecvEndStream); !s.ok()) {
+      return connection_error(ErrorCode::kProtocolError, s.error().message);
+    }
+  }
+  if (callbacks_.on_headers) {
+    callbacks_.on_headers(stream.id(), headers, end_stream);
+  }
+  headers_ = std::move(headers);
   return {};
 }
 
@@ -326,7 +366,7 @@ Status Connection::handle_frame(Frame frame) {
           }
           highest_peer_stream_ = std::max(highest_peer_stream_, f.stream_id);
           Stream& stream = ensure_stream(f.stream_id);
-          if (auto s = stream.apply(StreamEvent::kRecvHeaders); !s.ok()) {
+          if (auto s = apply(stream, StreamEvent::kRecvHeaders); !s.ok()) {
             return connection_error(ErrorCode::kProtocolError,
                                     s.error().message);
           }
@@ -335,24 +375,7 @@ Status Connection::handle_frame(Frame frame) {
                 f.stream_id, std::move(f.header_block), f.end_stream};
             return {};
           }
-          auto headers = decoder_.decode(f.header_block);
-          if (!headers.ok()) {
-            return connection_error(ErrorCode::kCompressionError,
-                                    headers.error().message);
-          }
-          if (auto s = check_header_list_size(headers.value()); !s.ok()) {
-            return s;
-          }
-          if (f.end_stream) {
-            if (auto s = stream.apply(StreamEvent::kRecvEndStream); !s.ok()) {
-              return connection_error(ErrorCode::kProtocolError,
-                                      s.error().message);
-            }
-          }
-          if (callbacks_.on_headers) {
-            callbacks_.on_headers(f.stream_id, headers.value(), f.end_stream);
-          }
-          return {};
+          return finish_header_block(stream, f.header_block, f.end_stream);
         } else if constexpr (std::is_same_v<T, ContinuationFrame>) {
           if (!pending_headers_ || pending_headers_->stream_id != f.stream_id) {
             return connection_error(ErrorCode::kProtocolError,
@@ -374,28 +397,10 @@ Status Connection::handle_frame(Frame frame) {
           if (!f.end_headers) return {};
           PendingHeaderBlock block = std::move(*pending_headers_);
           pending_headers_.reset();
-          auto headers = decoder_.decode(block.fragments);
-          if (!headers.ok()) {
-            return connection_error(ErrorCode::kCompressionError,
-                                    headers.error().message);
-          }
-          if (auto s = check_header_list_size(headers.value()); !s.ok()) {
-            return s;
-          }
-          Stream& stream = ensure_stream(block.stream_id);
-          if (block.end_stream) {
-            if (auto s = stream.apply(StreamEvent::kRecvEndStream); !s.ok()) {
-              return connection_error(ErrorCode::kProtocolError,
-                                      s.error().message);
-            }
-          }
-          if (callbacks_.on_headers) {
-            callbacks_.on_headers(block.stream_id, headers.value(),
-                                  block.end_stream);
-          }
-          return {};
+          return finish_header_block(ensure_stream(block.stream_id),
+                                     block.fragments, block.end_stream);
         } else if constexpr (std::is_same_v<T, DataFrame>) {
-          Stream* stream = find_stream(f.stream_id);
+          Stream* stream = mutable_stream(f.stream_id);
           if (stream == nullptr || !stream->can_recv_data()) {
             return connection_error(ErrorCode::kStreamClosed,
                                     "h2: DATA on closed/unknown stream");
@@ -410,7 +415,7 @@ Status Connection::handle_frame(Frame frame) {
                                     s.error().message);
           }
           if (f.end_stream) {
-            if (auto s = stream->apply(StreamEvent::kRecvEndStream); !s.ok()) {
+            if (auto s = apply(*stream, StreamEvent::kRecvEndStream); !s.ok()) {
               return connection_error(ErrorCode::kProtocolError,
                                       s.error().message);
             }
@@ -470,12 +475,12 @@ Status Connection::handle_frame(Frame frame) {
           if (callbacks_.on_goaway) callbacks_.on_goaway(f);
           return {};
         } else if constexpr (std::is_same_v<T, RstStreamFrame>) {
-          Stream* stream = find_stream(f.stream_id);
+          Stream* stream = mutable_stream(f.stream_id);
           if (stream == nullptr) {
             // RST for an already-forgotten stream: ignore.
             return {};
           }
-          if (auto s = stream->apply(StreamEvent::kRecvRstStream); !s.ok()) {
+          if (auto s = apply(*stream, StreamEvent::kRecvRstStream); !s.ok()) {
             return connection_error(ErrorCode::kProtocolError,
                                     s.error().message);
           }
@@ -489,7 +494,7 @@ Status Connection::handle_frame(Frame frame) {
               return connection_error(ErrorCode::kFlowControlError,
                                       s.error().message);
             }
-          } else if (Stream* stream = find_stream(f.stream_id)) {
+          } else if (Stream* stream = mutable_stream(f.stream_id)) {
             if (auto s = stream->send_window().replenish(f.increment);
                 !s.ok()) {
               return connection_error(ErrorCode::kFlowControlError,
@@ -505,7 +510,7 @@ Status Connection::handle_frame(Frame frame) {
                                     "h2: PUSH_PROMISE with push disabled");
           }
           Stream& promised = ensure_stream(f.promised_stream_id);
-          if (auto s = promised.apply(StreamEvent::kRecvPushPromise); !s.ok()) {
+          if (auto s = apply(promised, StreamEvent::kRecvPushPromise); !s.ok()) {
             return connection_error(ErrorCode::kProtocolError,
                                     s.error().message);
           }

@@ -8,6 +8,7 @@
 // with simulated latency.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -110,8 +111,9 @@ class Connection {
     return secondary_certificates_;
   }
 
-  Stream* find_stream(std::uint32_t id);
-  std::size_t active_stream_count() const;
+  const Stream* find_stream(std::uint32_t id) const;
+  // Streams not in the closed state, idle ones included.
+  std::size_t active_stream_count() const { return active_streams_; }
   std::uint32_t highest_peer_stream() const { return highest_peer_stream_; }
   bool failed() const { return failed_; }
   bool goaway_received() const { return goaway_received_.has_value(); }
@@ -130,7 +132,16 @@ class Connection {
   // (RFC 9113 §10.5.1 accounting: name + value + 32 per field).
   [[nodiscard]] origin::util::Status check_header_list_size(
       const hpack::HeaderList& headers);
+  // Decodes a complete header block for `stream`, applies END_STREAM and
+  // hands the fields to on_headers.
+  [[nodiscard]] origin::util::Status finish_header_block(
+      Stream& stream, std::span<const std::uint8_t> block, bool end_stream);
+  Stream* mutable_stream(std::uint32_t id);
   Stream& ensure_stream(std::uint32_t id);
+  // Every stream state change goes through here, which keeps
+  // active_streams_ equal to the number of non-closed streams.
+  [[nodiscard]] origin::util::Status apply(Stream& stream, StreamEvent event);
+  void count_frame(FrameType type);
   void enqueue(const Frame& frame);
 
   Role role_;
@@ -145,7 +156,9 @@ class Connection {
   OriginSet origin_set_;
   std::vector<tls::Certificate> secondary_certificates_;
 
+  // Closed streams stay: a frame on one is judged against its state.
   std::map<std::uint32_t, Stream> streams_;
+  std::size_t active_streams_ = 0;
   std::uint32_t next_stream_id_;
   std::uint32_t highest_peer_stream_ = 0;
 
@@ -153,12 +166,20 @@ class Connection {
   FlowWindow recv_window_;
 
   origin::util::Bytes output_;
+  // Frames of the current receive() batch; reused so a receive allocates
+  // no vector once the connection has seen its largest batch.
+  std::vector<Frame> frames_;
+  // The last decoded header block's fields, reused by the next block.
+  hpack::HeaderList headers_;
   bool preface_sent_ = false;
   bool preface_received_ = false;
   std::size_t preface_offset_ = 0;
   bool failed_ = false;
   std::optional<GoAwayFrame> goaway_received_;
-  std::map<FrameType, std::uint64_t> frame_counts_;
+  // Received frames by type byte: registered types in the array, other
+  // (extension) bytes in the map.
+  std::array<std::uint64_t, 16> frame_counts_{};
+  std::map<std::uint8_t, std::uint64_t> extension_frame_counts_;
   std::uint64_t total_frames_received_ = 0;
 
   // A HEADERS without END_HEADERS leaves the connection in "continuation

@@ -1,5 +1,6 @@
 #include "h2/frame.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "util/hot_path.h"
@@ -15,6 +16,7 @@ using origin::util::make_error;
 using origin::util::Result;
 
 constexpr std::uint32_t kStreamIdMask = 0x7fffffffu;
+constexpr std::size_t kFrameHeaderSize = 9;
 
 void write_header(ByteWriter& w, std::size_t length, FrameType type,
                   std::uint8_t flags, std::uint32_t stream_id) {
@@ -23,6 +25,40 @@ void write_header(ByteWriter& w, std::size_t length, FrameType type,
   w.u8(flags);
   w.u32(stream_id & kStreamIdMask);
 }
+
+// Payload octets each frame type puts on the wire after its 9-octet
+// header.
+std::size_t payload_length(const DataFrame& f) {
+  return f.data.size() + (f.pad_length > 0 ? 1u + f.pad_length : 0u);
+}
+std::size_t payload_length(const HeadersFrame& f) {
+  return f.header_block.size();
+}
+std::size_t payload_length(const PriorityFrame&) { return 5; }
+std::size_t payload_length(const RstStreamFrame&) { return 4; }
+std::size_t payload_length(const SettingsFrame& f) {
+  return f.settings.size() * 6;
+}
+std::size_t payload_length(const PushPromiseFrame& f) {
+  return 4 + f.header_block.size();
+}
+std::size_t payload_length(const PingFrame&) { return 8; }
+std::size_t payload_length(const GoAwayFrame& f) {
+  return 8 + f.debug_data.size();
+}
+std::size_t payload_length(const WindowUpdateFrame&) { return 4; }
+std::size_t payload_length(const ContinuationFrame& f) {
+  return f.header_block.size();
+}
+std::size_t payload_length(const AltSvcFrame& f) {
+  return 2 + f.origin.size() + f.field_value.size();
+}
+std::size_t payload_length(const OriginFrame& f) {
+  std::size_t length = 0;
+  for (const auto& o : f.origins) length += 2 + o.size();
+  return length;
+}
+std::size_t payload_length(const UnknownFrame& f) { return f.payload.size(); }
 
 Result<Frame> parse_payload(std::uint8_t type_byte, std::uint8_t flags,
                             std::uint32_t stream_id,
@@ -287,19 +323,23 @@ std::uint32_t stream_id_of(const Frame& frame) {
       frame);
 }
 
-ORIGIN_HOT Bytes serialize_frame(const Frame& frame) {
-  ByteWriter w(32);
+ORIGIN_HOT void serialize_frame(const Frame& frame, Bytes& out) {
   std::visit(
-      [&w](const auto& f) {
+      [&out](const auto& f) {
         using T = std::decay_t<decltype(f)>;
+        const std::size_t length = payload_length(f);
+        // The exact wire size into an empty buffer, geometric growth into
+        // one that already holds frames: a run of appends between two
+        // drains reallocates O(log n) times, never per byte.
+        const std::size_t need = out.size() + kFrameHeaderSize + length;
+        if (need > out.capacity()) {
+          out.reserve(out.empty() ? need : std::max(need, 2 * out.capacity()));
+        }
+        ByteWriter w(std::move(out));
         if constexpr (std::is_same_v<T, DataFrame>) {
           std::uint8_t flags = 0;
           if (f.end_stream) flags |= kFlagEndStream;
-          std::size_t length = f.data.size();
-          if (f.pad_length > 0) {
-            flags |= kFlagPadded;
-            length += 1 + f.pad_length;
-          }
+          if (f.pad_length > 0) flags |= kFlagPadded;
           write_header(w, length, FrameType::kData, flags, f.stream_id);
           if (f.pad_length > 0) w.u8(f.pad_length);
           w.raw(f.data);
@@ -308,97 +348,117 @@ ORIGIN_HOT Bytes serialize_frame(const Frame& frame) {
           std::uint8_t flags = 0;
           if (f.end_stream) flags |= kFlagEndStream;
           if (f.end_headers) flags |= kFlagEndHeaders;
-          write_header(w, f.header_block.size(), FrameType::kHeaders, flags,
-                       f.stream_id);
+          write_header(w, length, FrameType::kHeaders, flags, f.stream_id);
           w.raw(f.header_block);
         } else if constexpr (std::is_same_v<T, PriorityFrame>) {
-          write_header(w, 5, FrameType::kPriority, 0, f.stream_id);
+          write_header(w, length, FrameType::kPriority, 0, f.stream_id);
           w.u32(f.dependency | (f.exclusive ? 0x80000000u : 0));
           w.u8(static_cast<std::uint8_t>(f.weight - 1));
         } else if constexpr (std::is_same_v<T, RstStreamFrame>) {
-          write_header(w, 4, FrameType::kRstStream, 0, f.stream_id);
+          write_header(w, length, FrameType::kRstStream, 0, f.stream_id);
           w.u32(static_cast<std::uint32_t>(f.error));
         } else if constexpr (std::is_same_v<T, SettingsFrame>) {
-          write_header(w, f.settings.size() * 6, FrameType::kSettings,
-                       f.ack ? kFlagAck : 0, 0);
+          write_header(w, length, FrameType::kSettings, f.ack ? kFlagAck : 0,
+                       0);
           for (const auto& [id, value] : f.settings) {
             w.u16(static_cast<std::uint16_t>(id));
             w.u32(value);
           }
         } else if constexpr (std::is_same_v<T, PushPromiseFrame>) {
-          write_header(w, 4 + f.header_block.size(), FrameType::kPushPromise,
+          write_header(w, length, FrameType::kPushPromise,
                        f.end_headers ? kFlagEndHeaders : 0, f.stream_id);
           w.u32(f.promised_stream_id);
           w.raw(f.header_block);
         } else if constexpr (std::is_same_v<T, PingFrame>) {
-          write_header(w, 8, FrameType::kPing, f.ack ? kFlagAck : 0, 0);
+          write_header(w, length, FrameType::kPing, f.ack ? kFlagAck : 0, 0);
           w.u64(f.opaque);
         } else if constexpr (std::is_same_v<T, GoAwayFrame>) {
-          write_header(w, 8 + f.debug_data.size(), FrameType::kGoAway, 0, 0);
+          write_header(w, length, FrameType::kGoAway, 0, 0);
           w.u32(f.last_stream_id);
           w.u32(static_cast<std::uint32_t>(f.error));
           w.raw(f.debug_data);
         } else if constexpr (std::is_same_v<T, WindowUpdateFrame>) {
-          write_header(w, 4, FrameType::kWindowUpdate, 0, f.stream_id);
+          write_header(w, length, FrameType::kWindowUpdate, 0, f.stream_id);
           w.u32(f.increment);
         } else if constexpr (std::is_same_v<T, ContinuationFrame>) {
-          write_header(w, f.header_block.size(), FrameType::kContinuation,
+          write_header(w, length, FrameType::kContinuation,
                        f.end_headers ? kFlagEndHeaders : 0, f.stream_id);
           w.raw(f.header_block);
         } else if constexpr (std::is_same_v<T, AltSvcFrame>) {
-          write_header(w, 2 + f.origin.size() + f.field_value.size(),
-                       FrameType::kAltSvc, 0, f.stream_id);
+          write_header(w, length, FrameType::kAltSvc, 0, f.stream_id);
           w.u16(static_cast<std::uint16_t>(f.origin.size()));
           w.raw(f.origin);
           w.raw(f.field_value);
         } else if constexpr (std::is_same_v<T, OriginFrame>) {
-          std::size_t length = 0;
-          for (const auto& o : f.origins) length += 2 + o.size();
           write_header(w, length, FrameType::kOrigin, 0, 0);
           for (const auto& o : f.origins) {
             w.u16(static_cast<std::uint16_t>(o.size()));
             w.raw(o);
           }
         } else {  // UnknownFrame
-          write_header(w, f.payload.size(), static_cast<FrameType>(f.type),
-                       f.flags, f.stream_id);
+          write_header(w, length, static_cast<FrameType>(f.type), f.flags,
+                       f.stream_id);
           w.raw(f.payload);
         }
+        out = w.take();
       },
       frame);
-  return w.take();
 }
 
-Result<std::vector<Frame>> FrameParser::feed(
-    std::span<const std::uint8_t> bytes) {
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-  std::vector<Frame> frames;
+Bytes serialize_frame(const Frame& frame) {
+  Bytes out;
+  serialize_frame(frame, out);
+  return out;
+}
+
+origin::util::Status FrameParser::feed(std::span<const std::uint8_t> bytes,
+                                       std::vector<Frame>& frames) {
+  frames.clear();
+  // Complete frames parse straight from `bytes`; only a buffered partial
+  // frame makes the parser copy the chunk behind it.
+  std::span<const std::uint8_t> input = bytes;
+  if (!buffer_.empty()) {
+    buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
+    input = buffer_;
+  }
   std::size_t consumed = 0;
-  while (buffer_.size() - consumed >= 9) {
-    std::span<const std::uint8_t> view(buffer_.data() + consumed,
-                                       buffer_.size() - consumed);
-    ByteReader header(view.subspan(0, 9));
+  while (input.size() - consumed >= kFrameHeaderSize) {
+    std::span<const std::uint8_t> view = input.subspan(consumed);
+    ByteReader header(view.subspan(0, kFrameHeaderSize));
     std::uint32_t length = header.u24();
     std::uint8_t type = header.u8();
     std::uint8_t flags = header.u8();
     std::uint32_t stream_id = header.u32() & kStreamIdMask;
     if (length > max_frame_size_) {
       buffer_.clear();
+      frames.clear();
       return make_error("h2: frame exceeds SETTINGS_MAX_FRAME_SIZE");
     }
-    if (view.size() < 9u + length) break;  // incomplete frame, wait for more
-    auto frame = parse_payload(type, flags, stream_id, view.subspan(9, length));
+    if (view.size() < kFrameHeaderSize + length) break;  // wait for more
+    auto frame = parse_payload(type, flags, stream_id,
+                               view.subspan(kFrameHeaderSize, length));
     if (!frame.ok()) {
       buffer_.clear();
+      frames.clear();
       return frame.error();
     }
-    // analyze:allow(hot-transitive): per-feed frame batch is a few
-    // entries and returned to the caller; reserving would need a pre-scan
     frames.push_back(std::move(frame).value());
-    consumed += 9u + length;
+    consumed += kFrameHeaderSize + length;
   }
-  buffer_.erase(buffer_.begin(),
-                buffer_.begin() + static_cast<std::ptrdiff_t>(consumed));
+  if (buffer_.empty()) {
+    buffer_.assign(input.begin() + static_cast<std::ptrdiff_t>(consumed),
+                   input.end());
+  } else {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed));
+  }
+  return {};
+}
+
+Result<std::vector<Frame>> FrameParser::feed(
+    std::span<const std::uint8_t> bytes) {
+  std::vector<Frame> frames;
+  if (auto status = feed(bytes, frames); !status.ok()) return status.error();
   return frames;
 }
 

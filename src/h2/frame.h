@@ -163,7 +163,11 @@ using Frame =
 FrameType frame_type_of(const Frame& frame);
 std::uint32_t stream_id_of(const Frame& frame);
 
-// Serializes one frame, including its 9-octet header.
+// Appends one frame, including its 9-octet header, to `out` in place. An
+// empty `out` is sized to exactly this frame; a non-empty one grows
+// geometrically, so a connection's output buffer reallocates rarely.
+void serialize_frame(const Frame& frame, origin::util::Bytes& out);
+// The same bytes in a buffer of their own.
 origin::util::Bytes serialize_frame(const Frame& frame);
 
 // Incremental frame parser: feed bytes in any chunking; complete frames are
@@ -176,7 +180,13 @@ class FrameParser {
 
   void set_max_frame_size(std::uint32_t size) { max_frame_size_ = size; }
 
-  // Appends bytes to the internal buffer and extracts all complete frames.
+  // Replaces the contents of `frames` with every complete frame in the
+  // buffered tail plus `bytes`, in order. Complete frames parse straight
+  // from `bytes`; only an incomplete tail is copied into the parser. On
+  // error `frames` is left empty and the buffer is discarded.
+  [[nodiscard]] origin::util::Status feed(std::span<const std::uint8_t> bytes,
+                                          std::vector<Frame>& frames);
+  // The same frames in a vector of their own.
   [[nodiscard]] origin::util::Result<std::vector<Frame>> feed(
       std::span<const std::uint8_t> bytes);
 

@@ -11,7 +11,10 @@ std::string Origin::serialize() const {
   std::string out = scheme + "://" + host;
   const bool default_port =
       (scheme == "https" && port == 443) || (scheme == "http" && port == 80);
-  if (!default_port) out += ":" + std::to_string(port);
+  if (!default_port) {
+    out += ':';
+    out += std::to_string(port);
+  }
   return out;
 }
 

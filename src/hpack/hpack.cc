@@ -82,21 +82,35 @@ void Decoder::set_max_table_size_ceiling(std::size_t size) {
   if (table_.max_size() > size) table_.set_max_size(size);
 }
 
-origin::util::Result<std::string> Decoder::decode_string(
-    origin::util::ByteReader& reader) {
+origin::util::Status Decoder::decode_string(origin::util::ByteReader& reader,
+                                            std::string& out) {
   const bool huffman = (reader.peek() & 0x80) != 0;
   auto length = decode_integer(reader, 7);
   if (!length.ok()) return length.error();
   auto bytes = reader.raw(*length);
   if (!reader.ok()) return origin::util::make_error("hpack: truncated string");
-  if (huffman) return huffman_decode(bytes);
-  return std::string(bytes.begin(), bytes.end());
+  if (huffman) return huffman_decode(bytes, out);
+  out.assign(origin::util::as_string_view(bytes));
+  return {};
 }
 
-origin::util::Result<HeaderList> Decoder::decode(
-    std::span<const std::uint8_t> block) {
+const HeaderField* Decoder::indexed_field(std::size_t index) const {
+  return index <= kStaticTableSize ? static_table_entry(index)
+                                   : table_.entry(index);
+}
+
+origin::util::Status Decoder::decode(std::span<const std::uint8_t> block,
+                                     HeaderList& out) {
+  // Fields overwrite the list's existing elements, so their strings keep
+  // the capacity earlier blocks gave them; a typical block needs no growth
+  // past the first reserve.
+  out.reserve(kTypicalFields);
+  std::size_t count = 0;
+  auto next_field = [&out, &count]() -> HeaderField& {
+    if (count == out.size()) out.emplace_back();
+    return out[count++];
+  };
   origin::util::ByteReader reader(block);
-  HeaderList out;
   bool seen_field = false;
   while (!reader.at_end()) {
     const std::uint8_t first = reader.peek();
@@ -104,42 +118,15 @@ origin::util::Result<HeaderList> Decoder::decode(
       auto index = decode_integer(reader, 7);
       if (!index.ok()) return index.error();
       if (*index == 0) return origin::util::make_error("hpack: index 0");
-      const HeaderField* f = *index <= kStaticTableSize
-                                 ? static_table_entry(*index)
-                                 : table_.entry(*index);
+      const HeaderField* f = indexed_field(*index);
       if (f == nullptr) {
         return origin::util::make_error("hpack: index out of range");
       }
-      out.push_back(*f);
+      next_field() = *f;
       seen_field = true;
       continue;
     }
-    if (first & kLiteralIncremental) {
-      auto index = decode_integer(reader, 6);
-      if (!index.ok()) return index.error();
-      HeaderField field;
-      if (*index != 0) {
-        const HeaderField* f = *index <= kStaticTableSize
-                                   ? static_table_entry(*index)
-                                   : table_.entry(*index);
-        if (f == nullptr) {
-          return origin::util::make_error("hpack: name index out of range");
-        }
-        field.name = f->name;
-      } else {
-        auto name = decode_string(reader);
-        if (!name.ok()) return name.error();
-        field.name = std::move(name).value();
-      }
-      auto value = decode_string(reader);
-      if (!value.ok()) return value.error();
-      field.value = std::move(value).value();
-      table_.insert(field);
-      out.push_back(std::move(field));
-      seen_field = true;
-      continue;
-    }
-    if (first & kTableSizeUpdate) {
+    if (first & kTableSizeUpdate && !(first & kLiteralIncremental)) {
       // RFC 7541 §4.2: size updates must precede any header field.
       if (seen_field) {
         return origin::util::make_error(
@@ -154,30 +141,33 @@ origin::util::Result<HeaderList> Decoder::decode(
       table_.set_max_size(*size);
       continue;
     }
-    // Literal without indexing (0000) or never indexed (0001): identical
-    // parse, 4-bit prefix.
-    auto index = decode_integer(reader, 4);
+    // Literal with incremental indexing (01, 6-bit prefix), or without
+    // indexing (0000) or never indexed (0001), both with a 4-bit prefix.
+    const bool incremental = (first & kLiteralIncremental) != 0;
+    auto index = decode_integer(reader, incremental ? 6 : 4);
     if (!index.ok()) return index.error();
-    HeaderField field;
+    HeaderField& field = next_field();
     if (*index != 0) {
-      const HeaderField* f = *index <= kStaticTableSize
-                                 ? static_table_entry(*index)
-                                 : table_.entry(*index);
+      const HeaderField* f = indexed_field(*index);
       if (f == nullptr) {
         return origin::util::make_error("hpack: name index out of range");
       }
       field.name = f->name;
-    } else {
-      auto name = decode_string(reader);
-      if (!name.ok()) return name.error();
-      field.name = std::move(name).value();
+    } else if (auto s = decode_string(reader, field.name); !s.ok()) {
+      return s;
     }
-    auto value = decode_string(reader);
-    if (!value.ok()) return value.error();
-    field.value = std::move(value).value();
-    out.push_back(std::move(field));
+    if (auto s = decode_string(reader, field.value); !s.ok()) return s;
+    if (incremental) table_.insert(field);
     seen_field = true;
   }
+  out.resize(count);
+  return {};
+}
+
+origin::util::Result<HeaderList> Decoder::decode(
+    std::span<const std::uint8_t> block) {
+  HeaderList out;
+  if (auto status = decode(block, out); !status.ok()) return status.error();
   return out;
 }
 

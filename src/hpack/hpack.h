@@ -54,9 +54,13 @@ class Decoder {
   explicit Decoder(std::size_t max_table_size = 4096)
       : table_(max_table_size), settings_ceiling_(max_table_size) {}
 
-  // Parses a complete header block. Errors on any malformed representation;
+  // Parses a complete header block into `out`, replacing its contents and
+  // reusing its elements' storage. Errors on any malformed representation;
   // per RFC 7540 §4.3 such an error is a connection error (COMPRESSION_ERROR)
-  // at the h2 layer.
+  // at the h2 layer, and `out` is then unspecified.
+  [[nodiscard]] origin::util::Status decode(std::span<const std::uint8_t> block,
+                                            HeaderList& out);
+  // The same list in a value of its own.
   [[nodiscard]] origin::util::Result<HeaderList> decode(
       std::span<const std::uint8_t> block);
 
@@ -68,8 +72,14 @@ class Decoder {
   std::size_t dynamic_table_entries() const { return table_.entry_count(); }
 
  private:
-  [[nodiscard]] origin::util::Result<std::string> decode_string(
-      origin::util::ByteReader& reader);
+  // Fields a request or response block typically carries.
+  static constexpr std::size_t kTypicalFields = 8;
+
+  // Decodes one string literal into `out`, keeping its capacity.
+  [[nodiscard]] origin::util::Status decode_string(
+      origin::util::ByteReader& reader, std::string& out);
+  // Static or dynamic entry by combined index; nullptr when out of range.
+  const HeaderField* indexed_field(std::size_t index) const;
 
   DynamicTable table_;
   std::size_t settings_ceiling_;

@@ -133,9 +133,9 @@ void huffman_encode(std::string_view s, origin::util::ByteWriter& out) {
   }
 }
 
-origin::util::Result<std::string> huffman_decode(
-    std::span<const std::uint8_t> data) {
-  std::string out;
+origin::util::Status huffman_decode(std::span<const std::uint8_t> data,
+                                    std::string& out) {
+  out.clear();
   out.reserve(data.size() * 2);
   const Node* root = decode_root();
   const Node* node = root;
@@ -166,7 +166,7 @@ origin::util::Result<std::string> huffman_decode(
   if (bits_since_symbol >= 8 || !padding_all_ones) {
     return origin::util::make_error("hpack: invalid huffman padding");
   }
-  return out;
+  return {};
 }
 
 }  // namespace origin::hpack

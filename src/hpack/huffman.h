@@ -21,9 +21,10 @@ std::size_t huffman_encoded_size(std::string_view s);
 // Appends the Huffman coding of `s` to `out`.
 void huffman_encode(std::string_view s, origin::util::ByteWriter& out);
 
-// Decodes a Huffman-coded string. Errors on invalid padding or a code that
-// decodes to EOS.
-[[nodiscard]] origin::util::Result<std::string> huffman_decode(
-    std::span<const std::uint8_t> data);
+// Decodes a Huffman-coded string into `out`, replacing its contents and
+// keeping its capacity. Errors on invalid padding or a code that decodes
+// to EOS.
+[[nodiscard]] origin::util::Status huffman_decode(
+    std::span<const std::uint8_t> data, std::string& out);
 
 }  // namespace origin::hpack

@@ -1,6 +1,8 @@
 #include "hpack/tables.h"
 
+#include <algorithm>
 #include <array>
+#include <vector>
 
 namespace origin::hpack {
 
@@ -107,14 +109,52 @@ const HeaderField* DynamicTable::entry(std::size_t combined_index) const {
   return &entries_[offset];
 }
 
+namespace {
+
+// The static-table entries of one name: entries sharing a name are
+// adjacent in RFC 7541 Appendix A, so each name spans [first, last].
+struct NameSpan {
+  std::string_view name;
+  std::size_t first = 0;
+  std::size_t last = 0;
+};
+
+// One span per distinct name, sorted by name for binary search.
+const std::vector<NameSpan>& static_name_spans() {
+  static const std::vector<NameSpan> kSpans = [] {
+    std::vector<NameSpan> spans;
+    spans.reserve(kStaticTableSize);
+    for (std::size_t i = 1; i <= kStaticTableSize; ++i) {
+      const std::string_view name = static_table_entry(i)->name;
+      if (!spans.empty() && spans.back().name == name) {
+        spans.back().last = i;
+      } else {
+        spans.push_back({name, i, i});
+      }
+    }
+    std::sort(spans.begin(), spans.end(),
+              [](const NameSpan& a, const NameSpan& b) {
+                return a.name < b.name;
+              });
+    return spans;
+  }();
+  return kSpans;
+}
+
+}  // namespace
+
 std::optional<Match> find_match(const DynamicTable& dynamic,
                                 std::string_view name, std::string_view value) {
   std::optional<Match> name_only;
-  for (std::size_t i = 1; i <= kStaticTableSize; ++i) {
-    const HeaderField* f = static_table_entry(i);
-    if (f->name != name) continue;
-    if (f->value == value) return Match{i, true};
-    if (!name_only) name_only = Match{i, false};
+  const std::vector<NameSpan>& spans = static_name_spans();
+  auto span = std::lower_bound(
+      spans.begin(), spans.end(), name,
+      [](const NameSpan& s, std::string_view n) { return s.name < n; });
+  if (span != spans.end() && span->name == name) {
+    for (std::size_t i = span->first; i <= span->last; ++i) {
+      if (static_table_entry(i)->value == value) return Match{i, true};
+    }
+    name_only = Match{span->first, false};
   }
   for (std::size_t i = 0; i < dynamic.entry_count(); ++i) {
     std::size_t combined = kStaticTableSize + 1 + i;

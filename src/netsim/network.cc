@@ -98,8 +98,9 @@ void Network::connect(
       return;
     }
     ++stats_.tcp_handshakes;
-    const std::uint64_t id = next_connection_id_++;
-    Connection conn;
+    Connection& conn =
+        *connections_.emplace_back(std::make_unique<Connection>());
+    const std::uint64_t id = connections_.size();
     conn.server_address = server;
     conn.client_tag = client_tag;
     conn.link = link;
@@ -113,7 +114,6 @@ void Network::connect(
                                 it->second.end());
       }
     }
-    connections_.emplace(id, std::move(conn));
 
     TcpEndpoint client_end;
     client_end.network_ = this;
@@ -132,8 +132,8 @@ void Network::connect(
 }
 
 Network::Connection* Network::find(std::uint64_t id) {
-  auto it = connections_.find(id);
-  return it == connections_.end() ? nullptr : &it->second;
+  if (id == 0 || id > connections_.size()) return nullptr;
+  return connections_[id - 1].get();
 }
 
 void Network::deliver(std::uint64_t id, bool from_client, Bytes bytes) {
@@ -226,7 +226,7 @@ void Network::teardown(std::uint64_t id, const std::string& reason) {
     if (conn == nullptr) return;
     if (conn->client.on_close) conn->client.on_close(reason);
     if (conn->server.on_close) conn->server.on_close(reason);
-    connections_.erase(id);
+    connections_[id - 1].reset();
   });
 }
 

@@ -171,8 +171,9 @@ class Network {
   std::map<dns::IpAddress, LinkParams> link_overrides_;
   std::map<dns::IpAddress, std::function<void(TcpEndpoint)>> listeners_;
   std::map<std::string, std::vector<std::shared_ptr<Middlebox>>> middleboxes_;
-  std::map<std::uint64_t, Connection> connections_;
-  std::uint64_t next_connection_id_ = 1;
+  // Indexed by id - 1: ids are dense from 1 and never reused, so every
+  // lookup is O(1). Reaping resets the slot, and a reaped id finds nothing.
+  std::vector<std::unique_ptr<Connection>> connections_;
   std::uint64_t connect_attempts_ = 0;
   FaultInjector* injector_ = nullptr;
   NetworkStats stats_;

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "util/sim_time.h"
@@ -51,7 +50,10 @@ class Simulator {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  // A binary heap under Later (std::push_heap/pop_heap): the earliest
+  // event is at the front, and run_one moves it out instead of copying
+  // its closure.
+  std::vector<Event> queue_;
   origin::util::SimTime now_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

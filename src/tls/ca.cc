@@ -1,6 +1,8 @@
 #include "tls/ca.h"
 
 #include <algorithm>
+#include <charconv>
+#include <string_view>
 
 #include "util/fnv.h"
 
@@ -17,8 +19,37 @@ CertificateAuthority::CertificateAuthority(std::string name,
       key_id_(origin::util::fnv1a64(name_, key_seed)),
       max_san_entries_(max_san_entries) {}
 
+// The MAC is FNV-1a, keyed by the CA, over the certificate's signed text:
+//   serial|cn|issuer|san,san,...,|not_before|not_after|public_key_id
+// with every number in decimal (validity bounds in micros). The text is
+// folded piece by piece, never built, since every validation re-signs.
 std::uint64_t CertificateAuthority::sign(const Certificate& cert) const {
-  return origin::util::fnv1a64(cert.to_be_signed(), key_id_);
+  std::uint64_t h = key_id_;
+  auto text = [&h](std::string_view piece) {
+    h = origin::util::fnv1a64(piece, h);
+  };
+  auto number = [&text](auto value) {
+    char digits[24];
+    const auto end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+    text({digits, static_cast<std::size_t>(end - digits)});
+  };
+  number(cert.serial);
+  text("|");
+  text(cert.subject_common_name);
+  text("|");
+  text(cert.issuer);
+  text("|");
+  for (const auto& san : cert.san_dns) {
+    text(san);
+    text(",");
+  }
+  text("|");
+  number(cert.not_before.micros());
+  text("|");
+  number(cert.not_after.micros());
+  text("|");
+  number(cert.public_key_id);
+  return h;
 }
 
 origin::util::Result<Certificate> CertificateAuthority::issue(

@@ -25,31 +25,4 @@ std::size_t Certificate::size_bytes() const {
   return size;
 }
 
-std::string Certificate::to_be_signed() const {
-  std::string out;
-  out += std::to_string(serial);
-  out += '|';
-  out += subject_common_name;
-  out += '|';
-  out += issuer;
-  out += '|';
-  for (const auto& san : san_dns) {
-    out += san;
-    out += ',';
-  }
-  out += '|';
-  out += std::to_string(not_before.micros());
-  out += '|';
-  out += std::to_string(not_after.micros());
-  out += '|';
-  out += std::to_string(public_key_id);
-  return out;
-}
-
-std::size_t CertificateChain::total_size_bytes() const {
-  std::size_t total = leaf.size_bytes();
-  for (const auto& c : intermediates) total += c.size_bytes();
-  return total;
-}
-
 }  // namespace origin::tls

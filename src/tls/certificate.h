@@ -39,18 +39,6 @@ struct Certificate {
   // issuer + per-SAN entries + key + signature. Drives the §6.5 handshake
   // fragmentation model.
   std::size_t size_bytes() const;
-
-  // The byte string the signature covers.
-  std::string to_be_signed() const;
-};
-
-// An end-entity certificate plus its (single) intermediate chain entry, as
-// presented during the handshake.
-struct CertificateChain {
-  Certificate leaf;
-  std::vector<Certificate> intermediates;
-
-  std::size_t total_size_bytes() const;
 };
 
 }  // namespace origin::tls

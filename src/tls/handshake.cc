@@ -12,9 +12,11 @@ constexpr std::size_t kBrowserChainLimit = 262144;
 
 }  // namespace
 
-HandshakeResult simulate_handshake(const CertificateChain& chain) {
+HandshakeResult simulate_handshake(
+    const Certificate& leaf, std::span<const Certificate> intermediates) {
   HandshakeResult result;
-  result.chain_bytes = chain.total_size_bytes();
+  result.chain_bytes = leaf.size_bytes();
+  for (const Certificate& c : intermediates) result.chain_bytes += c.size_bytes();
   if (result.chain_bytes >= kBrowserChainLimit) {
     // SSL protocol error surfaced to the user; no connection.
     result.ok = false;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "tls/certificate.h"
 #include "util/sim_time.h"
@@ -31,7 +32,10 @@ struct HandshakeResult {
   std::size_t chain_bytes = 0;
 };
 
-// Cost of a full TLS 1.3 handshake presenting `chain`.
-HandshakeResult simulate_handshake(const CertificateChain& chain);
+// Cost of a full TLS 1.3 handshake presenting `leaf` followed by
+// `intermediates`. Callers pass the certificate where it lives; no chain
+// object is built.
+HandshakeResult simulate_handshake(
+    const Certificate& leaf, std::span<const Certificate> intermediates = {});
 
 }  // namespace origin::tls

@@ -3,11 +3,17 @@
 // Linking alloc_guard.cc into a binary replaces the global operator
 // new/delete family with thin wrappers over malloc/free that bump
 // per-thread counters. AllocGuard snapshots the calling thread's counters
-// at construction; allocations()/bytes() report the delta since. Because
-// the object files live in repro_util but the replacement operators are
-// only pulled in when a translation unit references AllocGuard (or calls
-// util::alloc_hook_touch()), binaries that never use the guard keep the
-// stock allocator.
+// at construction; allocations()/bytes() report the delta since.
+//
+// Every binary that links repro_util gets the replacement, whether or not
+// it uses the guard: its objects leave operator new undefined, and the
+// linker resolves that from alloc_guard.o in librepro_util.a before it
+// reaches libstdc++ (`nm` shows alloc_hook_touch in bench_paper and every
+// example). A build that compiles alloc_guard.cc directly, as perfbench's
+// glob over src/util does, gets it too. The cost is one thread-local
+// increment per allocation. A binary that defines its own operator new
+// (bench_perf_model) keeps its own. util::alloc_hook_touch() is for tests
+// that must be sure the replacement is in.
 //
 // The counters are thread-local: a guard only observes allocations made on
 // its own thread. Measure batch APIs at threads == 1 (the serial inline

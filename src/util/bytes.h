@@ -9,6 +9,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace origin::util {
@@ -20,6 +21,8 @@ class ByteWriter {
  public:
   ByteWriter() = default;
   explicit ByteWriter(std::size_t reserve) { buf_.reserve(reserve); }
+  // Appends after `buf`'s existing contents; take() hands the buffer back.
+  explicit ByteWriter(Bytes&& buf) : buf_(std::move(buf)) {}
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v);

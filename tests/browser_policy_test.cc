@@ -16,18 +16,25 @@ tls::Certificate make_cert(const std::vector<std::string>& sans) {
   return *cert;
 }
 
-ConnectionRecord make_conn(const std::vector<std::string>& sans,
+h2::OriginSet initial_origin_set(const std::string& host) {
+  h2::Origin initial;
+  initial.host = host;
+  return h2::OriginSet(initial);
+}
+
+// The record points at a certificate and an origin set that the caller
+// owns, as both loaders' records do.
+ConnectionRecord make_conn(const tls::Certificate& cert,
+                           const h2::OriginSet& origin_set,
                            IpAddress connected,
                            std::vector<IpAddress> available) {
   ConnectionRecord conn;
   conn.id = 1;
-  conn.sni = sans.empty() ? "host.example" : sans[0];
+  conn.sni = origin_set.initial().host;
   conn.connected_address = connected;
   conn.available_set = std::move(available);
-  conn.certificate = make_cert(sans);
-  h2::Origin initial;
-  initial.host = conn.sni;
-  conn.origin_set = h2::OriginSet(initial);
+  conn.certificate = &cert;
+  conn.origin_set = &origin_set;
   conn.pool_key = "cred";
   return conn;
 }
@@ -38,8 +45,10 @@ struct PaperExample {
   IpAddress a = IpAddress::v4(0x0A000001);
   IpAddress b = IpAddress::v4(0x0A000002);
   IpAddress c = IpAddress::v4(0x0A000003);
+  tls::Certificate cert = make_cert({"www.example.com", "img.example.com"});
+  h2::OriginSet origin_set = initial_origin_set("www.example.com");
   ConnectionRecord conn =
-      make_conn({"www.example.com", "img.example.com"}, IpAddress::v4(0x0A000001),
+      make_conn(cert, origin_set, IpAddress::v4(0x0A000001),
                 {IpAddress::v4(0x0A000001), IpAddress::v4(0x0A000002)});
   std::vector<IpAddress> subresource_answer = {IpAddress::v4(0x0A000002),
                                                IpAddress::v4(0x0A000003)};
@@ -89,7 +98,7 @@ TEST(FirefoxPolicy, RequiresCertCoverageEvenWithOverlap) {
 
 TEST(FirefoxPolicy, HonorsOriginFrameButStillQueriesDns) {
   PaperExample ex;
-  ex.conn.origin_set.apply_origin_frame({"https://img.example.com"});
+  ex.origin_set.apply_origin_frame({"https://img.example.com"});
   FirefoxTransitivePolicy policy;
   // §6.8: Firefox cannot decide without DNS...
   EXPECT_FALSE(policy.can_decide_without_dns(ex.conn, "img.example.com"));
@@ -102,7 +111,7 @@ TEST(FirefoxPolicy, HonorsOriginFrameButStillQueriesDns) {
 
 TEST(OriginPolicy, DecidesWithoutDnsForOriginSetMembers) {
   PaperExample ex;
-  ex.conn.origin_set.apply_origin_frame({"https://img.example.com"});
+  ex.origin_set.apply_origin_frame({"https://img.example.com"});
   OriginFramePolicy policy;
   EXPECT_TRUE(policy.can_decide_without_dns(ex.conn, "img.example.com"));
   auto decision = policy.evaluate(ex.conn, "img.example.com", {});
@@ -114,7 +123,7 @@ TEST(OriginPolicy, OriginSetMemberStillNeedsCertCoverage) {
   // RFC 8336 §2.4: names in the origin set must also pass certificate
   // checks. An origin-set entry outside the SAN is not reusable.
   PaperExample ex;
-  ex.conn.origin_set.apply_origin_frame({"https://notinsan.example.net"});
+  ex.origin_set.apply_origin_frame({"https://notinsan.example.net"});
   OriginFramePolicy policy;
   EXPECT_FALSE(policy.can_decide_without_dns(ex.conn, "notinsan.example.net"));
   auto decision = policy.evaluate(ex.conn, "notinsan.example.net", {});
@@ -134,7 +143,7 @@ TEST(OriginPolicy, FallsBackToIpTransitivity) {
 TEST(Policies, H1ConnectionsNeverCoalesce) {
   PaperExample ex;
   ex.conn.http2 = false;
-  ex.conn.origin_set.apply_origin_frame({"https://img.example.com"});
+  ex.origin_set.apply_origin_frame({"https://img.example.com"});
   for (const std::string name : {"chromium-ip", "firefox-transitive",
                                  "origin-frame"}) {
     auto policy = make_policy(name);
@@ -175,7 +184,7 @@ TEST_P(PolicyOrderingSweep, ReuseIsMonotoneAcrossPolicies) {
     }
     ex.conn.available_set.push_back(ex.conn.connected_address);
     if (rng.bernoulli(0.5)) {
-      ex.conn.origin_set.apply_origin_frame({"https://img.example.com"});
+      ex.origin_set.apply_origin_frame({"https://img.example.com"});
     }
     const bool c = chromium.evaluate(ex.conn, "img.example.com", answer).reuse;
     const bool f = firefox.evaluate(ex.conn, "img.example.com", answer).reuse;

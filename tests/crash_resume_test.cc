@@ -546,10 +546,10 @@ TEST(Manifest, DuplicateRecordsResolveLastWins) {
   ASSERT_TRUE(manifest.ok());
   EXPECT_EQ(manifest->records.size(), 3u);  // append order preserved
   auto latest = manifest->latest_records();
-  ASSERT_NE(latest.find(2), nullptr);
-  EXPECT_EQ(*latest.find(2), second);
-  ASSERT_NE(latest.find(0), nullptr);
-  EXPECT_EQ(*latest.find(0), test_record(0));
+  ASSERT_NE(latest.find(std::uint64_t{2}), nullptr);
+  EXPECT_EQ(*latest.find(std::uint64_t{2}), second);
+  ASSERT_NE(latest.find(std::uint64_t{0}), nullptr);
+  EXPECT_EQ(*latest.find(std::uint64_t{0}), test_record(0));
 }
 
 TEST(Manifest, ReaderIsTotalOnTruncationAndCorruption) {

@@ -671,7 +671,7 @@ TEST(FuzzRegressionManifest, DuplicateShardRecordsResolveLastWins) {
   EXPECT_EQ(parsed->records.size(), 2u);
   const auto latest = parsed->latest_records();
   EXPECT_EQ(latest.size(), 1u);
-  const auto* winner = latest.find(1);
+  const auto* winner = latest.find(std::uint64_t{1});
   ASSERT_NE(winner, nullptr);
   EXPECT_EQ(winner->content_crc64, 0x2222u);
 }

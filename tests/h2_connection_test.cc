@@ -250,6 +250,114 @@ TEST(H2Connection, RstStreamClosesStream) {
   EXPECT_TRUE(p.client.find_stream(*id)->closed());
 }
 
+// Counts non-closed streams among `ids` the slow way: what the O(1)
+// active_stream_count() must always equal.
+std::size_t brute_force_active(const Connection& conn,
+                               const std::vector<std::uint32_t>& ids) {
+  std::size_t active = 0;
+  for (std::uint32_t id : ids) {
+    const Stream* stream = conn.find_stream(id);
+    if (stream != nullptr && !stream->closed()) ++active;
+  }
+  return active;
+}
+
+TEST(H2Connection, ActiveStreamCountMatchesBruteForceAtEveryStep) {
+  Pair p;
+  std::vector<std::uint32_t> ids;
+  auto check = [&](const char* step) {
+    EXPECT_EQ(p.client.active_stream_count(),
+              brute_force_active(p.client, ids))
+        << "client after " << step;
+    EXPECT_EQ(p.server.active_stream_count(),
+              brute_force_active(p.server, ids))
+        << "server after " << step;
+  };
+  auto open = [&](bool end_stream) {
+    auto id = p.client.submit_request(get_request("www.example.com"),
+                                      end_stream);
+    EXPECT_TRUE(id.ok());
+    ids.push_back(*id);
+    return *id;
+  };
+  const Bytes body = origin::util::from_string("body");
+  pump(p.client, p.server);
+  check("handshake");
+
+  // Open, then half-close by END_STREAM from each side in turn.
+  const std::uint32_t open_then_closed = open(false);
+  check("open (local)");
+  pump(p.client, p.server);
+  check("open (remote)");
+  const std::uint32_t half_closed = open(true);
+  check("half-close (local)");
+  pump(p.client, p.server);
+  check("half-close (remote)");
+
+  // Close both by END_STREAM in both directions.
+  ASSERT_TRUE(p.server.submit_response(half_closed, {{":status", "200"}}, true)
+                  .ok());
+  check("response END_STREAM (server)");
+  pump(p.client, p.server);
+  check("response END_STREAM (client)");
+  ASSERT_TRUE(
+      p.server.submit_response(open_then_closed, {{":status", "200"}}, false)
+          .ok());
+  ASSERT_TRUE(p.server.submit_data(open_then_closed, body, true).ok());
+  check("server half-closed (local)");
+  pump(p.client, p.server);
+  check("client half-closed (remote)");
+  ASSERT_TRUE(p.client.submit_data(open_then_closed, body, true).ok());
+  check("client END_STREAM closes");
+  pump(p.client, p.server);
+  check("server END_STREAM closes");
+
+  // A reset sent by the client, received by the server.
+  const std::uint32_t client_reset = open(false);
+  pump(p.client, p.server);
+  check("open for client reset");
+  ASSERT_TRUE(p.client.submit_rst_stream(client_reset, ErrorCode::kCancel).ok());
+  check("RST_STREAM sent (client)");
+  pump(p.client, p.server);
+  check("RST_STREAM received (server)");
+
+  // A reset sent by the server, received by the client.
+  const std::uint32_t server_reset = open(true);
+  pump(p.client, p.server);
+  ASSERT_TRUE(
+      p.server.submit_rst_stream(server_reset, ErrorCode::kRefusedStream).ok());
+  check("RST_STREAM sent (server)");
+  pump(p.client, p.server);
+  check("RST_STREAM received (client)");
+
+  // Two streams still in flight when a GOAWAY arrives.
+  open(false);
+  open(true);
+  pump(p.client, p.server);
+  check("streams in flight");
+  p.server.submit_goaway(ErrorCode::kNoError, "drain");
+  pump(p.client, p.server);
+  EXPECT_TRUE(p.client.goaway_received());
+  check("GOAWAY received");
+  EXPECT_EQ(p.client.active_stream_count(), 2u);
+}
+
+TEST(H2Connection, FramesReceivedCountsUnknownTypes) {
+  Pair p;
+  pump(p.client, p.server);
+  for (const std::uint8_t type : {std::uint8_t{0x0b}, std::uint8_t{0xfe}}) {
+    UnknownFrame f;
+    f.type = type;
+    f.payload = origin::util::from_string("x");
+    ASSERT_TRUE(p.client.receive(serialize_frame(Frame{f})).ok());
+    ASSERT_TRUE(p.client.receive(serialize_frame(Frame{f})).ok());
+  }
+  EXPECT_EQ(p.client.frames_received(static_cast<FrameType>(0x0b)), 2u);
+  EXPECT_EQ(p.client.frames_received(static_cast<FrameType>(0xfe)), 2u);
+  EXPECT_EQ(p.client.frames_received(static_cast<FrameType>(0xfd)), 0u);
+  EXPECT_EQ(p.client.frames_received(FrameType::kSettings), 2u);
+}
+
 TEST(H2Connection, MaxConcurrentStreamsEnforcedOnSubmit) {
   Settings server_settings;
   server_settings.max_concurrent_streams = 2;

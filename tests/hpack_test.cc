@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "hpack/hpack.h"
 #include "hpack/huffman.h"
 #include "hpack/integer.h"
@@ -92,9 +94,9 @@ TEST(HpackHuffman, C4_1_WwwExampleCom) {
   ByteWriter w;
   huffman_encode("www.example.com", w);
   EXPECT_EQ(to_hex(w.bytes()), "f1e3c2e5f23a6ba0ab90f4ff");
-  auto decoded = huffman_decode(w.bytes());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, "www.example.com");
+  std::string decoded;
+  ASSERT_TRUE(huffman_decode(w.bytes(), decoded).ok());
+  EXPECT_EQ(decoded, "www.example.com");
 }
 
 TEST(HpackHuffman, C4_2_NoCache) {
@@ -135,15 +137,16 @@ TEST(HpackHuffman, RoundTripAllOctets) {
   for (int i = 0; i < 256; ++i) all.push_back(static_cast<char>(i));
   ByteWriter w;
   huffman_encode(all, w);
-  auto decoded = huffman_decode(w.bytes());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, all);
+  std::string decoded = "leftover";  // replaced, not appended to
+  ASSERT_TRUE(huffman_decode(w.bytes(), decoded).ok());
+  EXPECT_EQ(decoded, all);
 }
 
 TEST(HpackHuffman, RejectsBadPadding) {
   // "0" encodes to 5 bits 00000; pad with zeros instead of ones -> 0x00.
   Bytes bad = {0x00};
-  EXPECT_FALSE(huffman_decode(bad).ok());
+  std::string decoded;
+  EXPECT_FALSE(huffman_decode(bad, decoded).ok());
 }
 
 TEST(HpackHuffman, RejectsEightBitPadding) {
@@ -152,7 +155,8 @@ TEST(HpackHuffman, RejectsEightBitPadding) {
   huffman_encode("1", w);  // '1' = 00001 (5 bits) + 3 one-bits pad
   Bytes data = w.take();
   data.push_back(0xff);  // extra all-ones byte
-  EXPECT_FALSE(huffman_decode(data).ok());
+  std::string decoded;
+  EXPECT_FALSE(huffman_decode(data, decoded).ok());
 }
 
 // --- Tables ---
@@ -213,6 +217,63 @@ TEST(HpackTables, FindMatchPrefersExact) {
   EXPECT_TRUE(m->value_matches);
 }
 
+// The linear scan find_match replaced, kept as the reference: the static
+// table in index order (lowest full match, else lowest name match), then
+// the dynamic table.
+std::optional<Match> linear_find_match(const DynamicTable& dynamic,
+                                       std::string_view name,
+                                       std::string_view value) {
+  std::optional<Match> name_only;
+  for (std::size_t i = 1; i <= kStaticTableSize; ++i) {
+    const HeaderField* f = static_table_entry(i);
+    if (f->name != name) continue;
+    if (f->value == value) return Match{i, true};
+    if (!name_only) name_only = Match{i, false};
+  }
+  for (std::size_t i = 0; i < dynamic.entry_count(); ++i) {
+    const std::size_t combined = kStaticTableSize + 1 + i;
+    const HeaderField* f = dynamic.entry(combined);
+    if (f->name != name) continue;
+    if (f->value == value) return Match{combined, true};
+    if (!name_only) name_only = Match{combined, false};
+  }
+  return name_only;
+}
+
+void expect_same_match(const DynamicTable& table, std::string_view name,
+                       std::string_view value) {
+  const auto got = find_match(table, name, value);
+  const auto want = linear_find_match(table, name, value);
+  ASSERT_EQ(got.has_value(), want.has_value()) << name << ": " << value;
+  if (!want) return;
+  EXPECT_EQ(got->index, want->index) << name << ": " << value;
+  EXPECT_EQ(got->value_matches, want->value_matches) << name << ": " << value;
+}
+
+TEST(HpackTables, FindMatchEqualsLinearScanOverTheStaticTable) {
+  DynamicTable empty(4096);
+  DynamicTable filled(4096);
+  filled.insert({":method", "PATCH"});
+  filled.insert({"x-custom", "1"});
+  filled.insert({":status", "200"});  // shadowed by static index 8
+  filled.insert({"cookie", "a=b"});
+  for (const DynamicTable* table : {&empty, &filled}) {
+    for (std::size_t i = 1; i <= kStaticTableSize; ++i) {
+      const HeaderField& f = *static_table_entry(i);
+      expect_same_match(*table, f.name, f.value);            // full match
+      expect_same_match(*table, f.name, "no-such-value");    // name only
+      expect_same_match(*table, f.name, "");
+    }
+    expect_same_match(*table, "x-custom", "1");
+    expect_same_match(*table, "x-custom", "2");
+    expect_same_match(*table, "cookie", "a=b");
+    expect_same_match(*table, ":method", "PATCH");
+    expect_same_match(*table, "no-such-name", "");
+    expect_same_match(*table, "", "");
+    expect_same_match(*table, "zzzz", "");  // sorts after every name
+  }
+}
+
 // --- Encoder/Decoder ---
 
 HeaderList request_headers(const std::string& authority, const std::string& path) {
@@ -232,6 +293,30 @@ TEST(Hpack, EncodeDecodeRoundTrip) {
   auto decoded = dec.decode(block);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, headers);
+}
+
+TEST(Hpack, DecodeIntoAReusedListEqualsAFreshDecode) {
+  // The h2 connection decodes every block into one reused list; shorter
+  // and longer blocks must leave exactly their own fields behind.
+  Encoder enc;
+  Decoder reused_decoder;
+  Decoder fresh_decoder;
+  HeaderList reused;
+  const std::vector<HeaderList> blocks = {
+      request_headers("a-rather-long-hostname.example.com", "/a/long/path"),
+      {{":status", "200"}},
+      request_headers("b.example", "/"),
+      {},
+      {{":status", "404"}, {"content-type", "text/plain"}},
+  };
+  for (const HeaderList& headers : blocks) {
+    const Bytes block = enc.encode(headers);
+    ASSERT_TRUE(reused_decoder.decode(block, reused).ok());
+    auto fresh = fresh_decoder.decode(block);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(reused, headers);
+    EXPECT_EQ(*fresh, headers);
+  }
 }
 
 TEST(Hpack, DynamicTableShrinksSecondBlock) {

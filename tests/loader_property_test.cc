@@ -49,7 +49,9 @@ TEST_P(LoaderInvariantSweep, HarStructureInvariants) {
       EXPECT_GE(entry.timings.ssl.count_micros(), 0);
       EXPECT_GE(entry.timings.receive.count_micros(), 0);
       // Carried requests reference a live connection.
-      if (entry.new_tls_connection) EXPECT_NE(entry.connection_id, 0u);
+      if (entry.new_tls_connection) {
+        EXPECT_NE(entry.connection_id, 0u);
+      }
       // Validations happen exactly on new TLS connections.
       EXPECT_EQ(entry.cert_san_count >= 0, entry.new_tls_connection);
     }

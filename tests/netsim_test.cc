@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "browser/environment.h"
 #include "browser/wire_client.h"
 #include "h2/connection.h"
@@ -52,6 +54,35 @@ TEST(SimulatorTest, NestedScheduling) {
   sim.run_until_idle();
   EXPECT_EQ(fired, 2);
   EXPECT_DOUBLE_EQ(sim.now().as_millis(), 2.0);
+}
+
+TEST(SimulatorTest, EqualTimesFireInScheduleOrderAcrossNesting) {
+  // Events at one timestamp fire in the order they were scheduled, and an
+  // event scheduled from inside a running one, for a time already queued,
+  // fires after every event scheduled before it.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(Duration::millis(1), [&] {
+    order.push_back(0);
+    // Due at 2 ms with every event below already queued for it: last.
+    sim.schedule(Duration::millis(1), [&] { order.push_back(69); });
+    sim.schedule(Duration::micros(0), [&] { order.push_back(2); });
+  });
+  sim.schedule(Duration::millis(1), [&] {
+    order.push_back(1);
+    sim.schedule(Duration::micros(0), [&] { order.push_back(3); });
+  });
+  sim.schedule(Duration::millis(2), [&] { order.push_back(4); });
+  for (int i = 0; i < 64; ++i) {
+    // Enough equal-time events to make the heap grow while it runs.
+    sim.schedule(Duration::millis(2), [&order, i] { order.push_back(5 + i); });
+  }
+  sim.run_until_idle();
+  std::vector<int> expected(70);
+  for (int i = 0; i < 70; ++i) expected[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sim.executed_events(), 70u);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(SimulatorTest, RunUntilAdvancesClock) {
@@ -212,6 +243,50 @@ TEST(NetworkTest, CloseNotifiesBothSides) {
   sim.run_until_idle();
   EXPECT_EQ(server_reason, "done");
   EXPECT_EQ(client_reason, "done");
+}
+
+TEST(NetworkTest, ReapedConnectionFindsNothingAndIdsStayDense) {
+  Simulator sim;
+  Network net(sim);
+  net.listen(IpAddress::v4(1), [](TcpEndpoint) {});
+  std::optional<TcpEndpoint> first;
+  net.connect("client", IpAddress::v4(1),
+              [&](origin::util::Result<TcpEndpoint> endpoint) {
+                ASSERT_TRUE(endpoint.ok());
+                first = *endpoint;
+              });
+  sim.run_until_idle();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->connection_id(), 1u);
+  EXPECT_TRUE(first->open());
+  EXPECT_EQ(first->client_tag(), "client");
+
+  first->close("done");
+  sim.run_until_idle();  // the close event reaps the connection
+  EXPECT_FALSE(first->open());
+  EXPECT_EQ(first->client_tag(), "");
+  // A reaped endpoint sends nothing and takes no callback.
+  bool received = false;
+  first->set_on_receive(
+      [&received](std::span<const std::uint8_t>) { received = true; });
+  const std::uint64_t bytes_before = net.stats().bytes_sent;
+  first->send(origin::util::from_string("late"));
+  sim.run_until_idle();
+  EXPECT_FALSE(received);
+  EXPECT_EQ(net.stats().bytes_sent, bytes_before);
+
+  // The next connect gets the next id; the reaped one is never reused.
+  std::optional<TcpEndpoint> second;
+  net.connect("client", IpAddress::v4(1),
+              [&](origin::util::Result<TcpEndpoint> endpoint) {
+                ASSERT_TRUE(endpoint.ok());
+                second = *endpoint;
+              });
+  sim.run_until_idle();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->connection_id(), 2u);
+  EXPECT_TRUE(second->open());
+  EXPECT_FALSE(first->open());
 }
 
 // --- HTTP/2 over the simulated network ---

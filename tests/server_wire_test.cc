@@ -137,6 +137,108 @@ TEST(WireClientTest, OriginPolicyCoalescesOverRealFrames) {
   EXPECT_EQ(world.cdn_server.stats().origin_frames_sent, 1u);
 }
 
+// Answers every request 200 and advertises its origin set only behind its
+// first response, so the ORIGIN frame reaches a client whose connection
+// record has existed since the handshake.
+struct LateOriginServer {
+  struct Session {
+    std::shared_ptr<h2::Connection> h2;
+    netsim::TcpEndpoint endpoint;
+    bool origin_sent = false;
+  };
+  std::vector<std::string> origins;
+  std::vector<std::shared_ptr<Session>> sessions;
+
+  void listen(netsim::Network& net, IpAddress address) {
+    net.listen(address, [this](netsim::TcpEndpoint endpoint) {
+      auto session = std::make_shared<Session>();
+      session->endpoint = endpoint;
+      session->h2 = std::make_shared<h2::Connection>(
+          h2::Connection::Role::kServer, h2::Origin{});
+      Session* raw = session.get();
+      h2::ConnectionCallbacks callbacks;
+      callbacks.on_headers = [this, raw](std::uint32_t stream_id,
+                                         const hpack::HeaderList&, bool) {
+        EXPECT_TRUE(
+            raw->h2->submit_response(stream_id, {{":status", "200"}}, true)
+                .ok());
+        if (!raw->origin_sent) {
+          EXPECT_TRUE(raw->h2->submit_origin(origins).ok());
+          raw->origin_sent = true;
+        }
+      };
+      session->h2->set_callbacks(std::move(callbacks));
+      session->endpoint.set_on_receive(
+          [raw](std::span<const std::uint8_t> bytes) {
+            EXPECT_TRUE(raw->h2->receive(bytes).ok());
+            if (raw->h2->has_output()) {
+              raw->endpoint.send(raw->h2->take_output());
+            }
+          });
+      session->endpoint.send(session->h2->take_output());
+      sessions.push_back(std::move(session));
+    });
+  }
+};
+
+TEST(WireClientTest, OriginFrameAfterTheRecordStillAdmitsLaterRequests) {
+  // The record reads the connection's live origin set: an ORIGIN frame
+  // that lands after the record was made still admits static.site.com
+  // without DNS. Its own answer (another address) shares nothing with the
+  // connection's, so nothing but the origin set could coalesce it.
+  netsim::Simulator sim;
+  netsim::Network net(sim);
+  Environment env;
+  auto cert = std::make_shared<tls::Certificate>(*env.default_ca().issue(
+      "www.site.com", {"www.site.com", "static.site.com"},
+      SimTime::from_micros(0)));
+  for (const auto& [host, address] :
+       {std::pair<std::string, std::uint32_t>{"www.site.com", 0x0A000001},
+        std::pair<std::string, std::uint32_t>{"static.site.com",
+                                              0x0A000002}}) {
+    Service service;
+    service.name = host;
+    service.addresses = {IpAddress::v4(address)};
+    service.served_hostnames = {host};
+    service.certificate = cert;
+    env.add_service(std::move(service));
+  }
+  LateOriginServer server;
+  server.origins = {"https://www.site.com", "https://static.site.com"};
+  server.listen(net, IpAddress::v4(0x0A000001));
+
+  web::Webpage page;
+  page.base_hostname = "www.site.com";
+  web::Resource base;
+  base.hostname = "www.site.com";
+  base.path = "/";
+  base.mode = web::RequestMode::kNavigation;
+  page.resources.push_back(base);
+  web::Resource child = base;
+  child.hostname = "static.site.com";
+  child.path = "/app.js";
+  child.parent = 0;
+  child.mode = web::RequestMode::kSubresource;
+  child.discovery_cpu_ms = 1.0;
+  page.resources.push_back(child);
+
+  LoaderOptions options;
+  options.policy = "origin-frame";
+  WireClient client(env, net, options);
+  WireLoadResult result;
+  client.load(page, [&result](WireLoadResult r) { result = std::move(r); });
+  sim.run_until_idle();
+  EXPECT_TRUE(result.complete);
+  EXPECT_TRUE(result.har.success);
+  EXPECT_EQ(result.connections_opened, 1u);
+  EXPECT_EQ(result.coalesced_requests, 1u);
+  ASSERT_EQ(result.har.entries.size(), 2u);
+  EXPECT_FALSE(result.har.entries[1].new_dns_query);
+  EXPECT_EQ(result.har.entries[1].connection_id,
+            result.har.entries[0].connection_id);
+  ASSERT_EQ(server.sessions.size(), 1u);
+}
+
 TEST(WireClientTest, ChromiumPolicyCoalescesViaIpMatch) {
   WireWorld world(/*origin_frames=*/false);
   auto result = world.run("chromium-ip");
@@ -149,8 +251,9 @@ TEST(WireClientTest, MisdirectedRequestRetriesOnNewConnection) {
   WireWorld world(/*origin_frames=*/true);
   // The server advertises static.site.com but loses its vhost (content
   // moved): coalesced requests draw 421 and the client retries.
-  world.cdn_server = server::Http2Server(server::ServerConfig{
-      {"https://www.site.com", "https://static.site.com"}, {}});
+  server::ServerConfig config;
+  config.origin_set = {"https://www.site.com", "https://static.site.com"};
+  world.cdn_server = server::Http2Server(config);
   world.cdn_server.add_vhost("www.site.com", static_body("<html>base</html>"));
   world.cdn_server.listen(world.net, IpAddress::v4(0x0A000001));
 

@@ -4,6 +4,7 @@
 #include "tls/certificate.h"
 #include "tls/handshake.h"
 #include "tls/sni.h"
+#include "util/fnv.h"
 
 namespace origin::tls {
 namespace {
@@ -81,6 +82,40 @@ TEST(Ca, VerifyDetectsTampering) {
   Certificate tampered = *cert;
   tampered.san_dns.push_back("evil.com");
   EXPECT_FALSE(ca.verify(tampered));
+}
+
+// The signed text, rendered the way certificates were once signed: the MAC
+// must equal FNV-1a over exactly these bytes, keyed by the CA.
+std::string reference_signed_text(const Certificate& cert) {
+  std::string out = std::to_string(cert.serial) + '|' +
+                    cert.subject_common_name + '|' + cert.issuer + '|';
+  for (const auto& san : cert.san_dns) out += san + ',';
+  out += '|' + std::to_string(cert.not_before.micros()) + '|' +
+         std::to_string(cert.not_after.micros()) + '|' +
+         std::to_string(cert.public_key_id);
+  return out;
+}
+
+TEST(Ca, SignatureIsFnvOverTheSignedText) {
+  CertificateAuthority ca("Reference CA", 77, 200);
+  std::vector<std::string> many;
+  for (int i = 0; i < 150; ++i) {
+    many.push_back("n" + std::to_string(i) + ".example.org");
+  }
+  const std::vector<std::pair<SimTime, std::vector<std::string>>> cases = {
+      {t0(), {"a.example.com", "*.b.example.com"}},
+      {SimTime::from_micros(0), {}},
+      {SimTime::from_micros(-5), {"negative.example"}},
+      {SimTime::from_micros(9'000'000'000'000), many},
+  };
+  for (const auto& [when, sans] : cases) {
+    auto cert = ca.issue("cn.example", sans, when);
+    ASSERT_TRUE(cert.ok());
+    EXPECT_EQ(cert->signature,
+              origin::util::fnv1a64(reference_signed_text(*cert), ca.key_id()))
+        << cert->serial;
+    EXPECT_TRUE(ca.verify(*cert));
+  }
 }
 
 TEST(Ca, ReissueAddsSansAndRotatesSerial) {
@@ -166,9 +201,8 @@ TEST(CertStoreTest, PrefersFewerSansAmongExactMatches) {
 
 TEST(Handshake, SmallChainIsOneRtt) {
   CertificateAuthority ca("CA", 10);
-  CertificateChain chain;
-  chain.leaf = *ca.issue("a.com", {"a.com", "www.a.com"}, t0());
-  auto result = simulate_handshake(chain);
+  auto result =
+      simulate_handshake(*ca.issue("a.com", {"a.com", "www.a.com"}, t0()));
   EXPECT_TRUE(result.ok);
   EXPECT_EQ(result.round_trips, 1);
   EXPECT_EQ(result.tls_records, 1);
@@ -181,9 +215,7 @@ TEST(Handshake, LargeSanListCostsExtraRtts) {
   for (int i = 0; i < 800; ++i) {
     sans.push_back("subdomain-number-" + std::to_string(i) + ".example.com");
   }
-  CertificateChain chain;
-  chain.leaf = *ca.issue("example.com", sans, t0());
-  auto result = simulate_handshake(chain);
+  auto result = simulate_handshake(*ca.issue("example.com", sans, t0()));
   EXPECT_TRUE(result.ok);
   EXPECT_GT(result.round_trips, 1);
   EXPECT_GT(result.tls_records, 1);
@@ -197,19 +229,17 @@ TEST(Handshake, AbsurdChainFailsLikeBadSsl) {
     sans.push_back("subject-alternative-name-" + std::to_string(i) +
                    ".badssl.example.com");
   }
-  CertificateChain chain;
-  chain.leaf = *ca.issue("badssl.com", sans, t0());
-  auto result = simulate_handshake(chain);
+  auto result = simulate_handshake(*ca.issue("badssl.com", sans, t0()));
   EXPECT_FALSE(result.ok);
 }
 
 TEST(Handshake, IntermediatesCountTowardChainSize) {
   CertificateAuthority ca("CA", 13);
-  CertificateChain chain;
-  chain.leaf = *ca.issue("a.com", {"a.com"}, t0());
-  auto base = simulate_handshake(chain);
-  chain.intermediates.push_back(*ca.issue("Intermediate CA", {}, t0()));
-  auto with_intermediate = simulate_handshake(chain);
+  const Certificate leaf = *ca.issue("a.com", {"a.com"}, t0());
+  auto base = simulate_handshake(leaf);
+  const Certificate intermediate = *ca.issue("Intermediate CA", {}, t0());
+  auto with_intermediate =
+      simulate_handshake(leaf, std::span<const Certificate>(&intermediate, 1));
   EXPECT_GT(with_intermediate.chain_bytes, base.chain_bytes);
 }
 
@@ -223,9 +253,8 @@ TEST_P(HandshakeSweep, MoreSansNeverFewerRtts) {
     for (int i = 0; i < san_count; ++i) {
       sans.push_back("name-" + std::to_string(i) + ".example.org");
     }
-    CertificateChain chain;
-    chain.leaf = *ca.issue("example.org", sans, t0());
-    return simulate_handshake(chain).round_trips;
+    return simulate_handshake(*ca.issue("example.org", sans, t0()))
+        .round_trips;
   };
   EXPECT_LE(rtts_for(GetParam()), rtts_for(GetParam() * 2));
 }
