@@ -25,9 +25,9 @@
 // names the row and field), or missed quarantine is fatal. Emits
 // BENCH_crash.json through bench/report.h.
 //
-// Flags: --sites (default 20,000; needs >= 3 shards, so keep sites
-// comfortably above 3 * 4,096 eligible) and --dir (spill dir, default
-// bench_crash_spill).
+// Flags: --sites (default 20,000; the matrix needs 3 shards, and a
+// smaller corpus fails after the baseline with one FAIL line) and --dir
+// (spill dir, default bench_crash_spill).
 #include <fcntl.h>
 #include <spawn.h>
 #include <sys/wait.h>
@@ -69,7 +69,9 @@ struct CrashPoint {
 // Each generate-side k leaves shards 0 and 1 committed before the kill (the
 // fresh manifest header is durable write #1, so the durable.* windows fire
 // on shard 2's write at hit 4). The analyze kill comes after every shard is
-// committed.
+// committed. A kill armed past the last shard never fires, so the matrix
+// needs this many shards.
+constexpr int kMatrixShards = 3;
 constexpr CrashPoint kMatrix[] = {
     {"generate.load", 3, 2},       {"generate.encode", 3, 2},
     {"durable.mid_write", 4, 2},   {"durable.pre_rename", 4, 2},
@@ -269,6 +271,17 @@ int main(int argc, char** argv) {
               (*baseline)["measured_digest"].string_or("?").c_str(),
               (*baseline)["reconstructed_digest"].string_or("?").c_str(),
               baseline_ms / 1000.0);
+  if (const double shards = (*baseline)["shards"].double_or(0);
+      shards < kMatrixShards) {
+    std::fprintf(stderr,
+                 "FAIL: --sites %zu builds %.0f shard(s); the crash matrix "
+                 "needs %d\n",
+                 args.sites, shards, kMatrixShards);
+    std::filesystem::remove_all(spill_dir);
+    std::remove(child_out.c_str());
+    std::remove(child_log.c_str());
+    return 1;
+  }
 
   // Leg 2: the kill–resume matrix.
   Json::Array matrix;

@@ -1151,7 +1151,7 @@ void middlebox_ablation(std::FILE* out) {
       auto outcome = run_middlebox_case(origin_frames, kind);
       table.add_row({kinds[kind], origin_frames ? "on" : "off",
                      outcome.har.success ? "yes" : "NO",
-                     std::to_string(outcome.connections_torn_down),
+                     std::to_string(outcome.robustness.connections_torn_down),
                      std::to_string(outcome.coalesced_requests)});
     }
   }

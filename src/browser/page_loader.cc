@@ -18,28 +18,14 @@ bool is_h2_capable(web::HttpVersion version) {
          version == web::HttpVersion::kQuic;
 }
 
-std::string pool_key_for(web::RequestMode mode) {
-  // CORS-anonymous and fetch/XHR requests live in a credentialless pool and
-  // never coalesce onto credentialed connections (§5.3 observation).
-  switch (mode) {
-    case web::RequestMode::kCorsAnonymous:
-    case web::RequestMode::kFetchApi:
-      return "anon";
-    default:
-      return "cred";
-  }
-}
-
 }  // namespace
 
 PageLoader::PageLoader(Environment& env, LoaderOptions options)
     : env_(env),
       options_(std::move(options)),
-      policy_(make_policy(options_.policy)),
+      policy_(parse_policy(options_.policy)),
       rng_(options_.seed),
-      next_connection_id_(options_.first_connection_id) {
-  if (policy_ == nullptr) policy_ = std::make_unique<ChromiumIpPolicy>();
-}
+      next_connection_id_(options_.first_connection_id) {}
 
 web::PageLoad PageLoader::load(const web::Webpage& page) {
   web::PageLoad result;
@@ -87,7 +73,7 @@ web::PageLoad PageLoader::load(const web::Webpage& page) {
     }
     entry.asn = service->asn;
 
-    const std::string pool_key = pool_key_for(res.mode);
+    const Pool request_pool = pool_for(res.mode);
     const bool h2_capable = is_h2_capable(res.version) && res.secure;
     LiveConnection* chosen = nullptr;
     bool via_coalescing = false;
@@ -100,7 +86,7 @@ web::PageLoad PageLoader::load(const web::Webpage& page) {
     std::size_t h1_conns_to_host = 0;
     LiveConnection* least_busy_h1 = nullptr;
     for (auto& conn : pool) {
-      if (conn.record.pool_key != pool_key) continue;
+      if (conn.record.pool != request_pool) continue;
       if (conn.record.sni != res.hostname) continue;
       if (conn.record.http2 && h2_capable) {
         chosen = &conn;
@@ -129,20 +115,15 @@ web::PageLoad PageLoader::load(const web::Webpage& page) {
     dns::Answer answer;
     bool resolved = false;
 
-    // --- 2. cross-host coalescing -------------------------------------
-    // Credentialless (CORS-anonymous / fetch) connections never coalesce
-    // across hostnames — the obstruction §5.3 observed in deployment.
-    if (chosen == nullptr && h2_capable && pool_key == "cred") {
+    // --- 2. cross-host coalescing (policy.h) ---------------------------
+    if (chosen == nullptr && h2_capable) {
       // 2a. without DNS (spec-pure ORIGIN clients only).
       for (auto& conn : pool) {
-        if (conn.record.pool_key != pool_key || !conn.record.http2) continue;
-        if (policy_->can_decide_without_dns(conn.record, res.hostname)) {
-          auto decision = policy_->evaluate(conn.record, res.hostname, {});
-          if (decision.reuse) {
-            chosen = &conn;
-            via_coalescing = true;
-            break;
-          }
+        if (may_coalesce(policy_, request_pool, conn.record, res.hostname,
+                         nullptr)) {
+          chosen = &conn;
+          via_coalescing = true;
+          break;
         }
       }
       // 2b. with a blocking DNS query.
@@ -153,12 +134,8 @@ web::PageLoad PageLoader::load(const web::Webpage& page) {
         entry.timings.dns = answer.latency;
         if (answer.ok) {
           for (auto& conn : pool) {
-            if (conn.record.pool_key != pool_key || !conn.record.http2) {
-              continue;
-            }
-            auto decision =
-                policy_->evaluate(conn.record, res.hostname, answer.addresses);
-            if (decision.reuse) {
+            if (may_coalesce(policy_, request_pool, conn.record, res.hostname,
+                             &answer.addresses)) {
               chosen = &conn;
               via_coalescing = true;
               break;
@@ -203,7 +180,7 @@ web::PageLoad PageLoader::load(const web::Webpage& page) {
       conn.record.connected_address = answer.addresses.front();
       conn.record.available_set = answer.addresses;
       conn.record.http2 = h2_capable;
-      conn.record.pool_key = pool_key;
+      conn.record.pool = request_pool;
       conn.service = service;
 
       const netsim::LinkParams& link = service->link;

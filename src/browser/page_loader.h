@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,7 +28,8 @@
 namespace origin::browser {
 
 struct LoaderOptions {
-  std::string policy = "chromium-ip";  // see make_policy()
+  // "chromium-ip", "firefox-transitive" or "origin-frame" (parse_policy).
+  std::string policy = "chromium-ip";
   dns::Resolver::Params resolver;
   // Race-condition model (§4.2). Probabilities per *new-connection* event:
   double happy_eyeballs_extra_dns = 0.08;  // parallel AAAA/A double query
@@ -65,7 +65,7 @@ class PageLoader {
 
   Environment& env_;
   LoaderOptions options_;
-  std::unique_ptr<CoalescingPolicy> policy_;
+  Policy policy_;
   origin::util::Rng rng_;
   std::uint64_t next_connection_id_;
 };

@@ -2,135 +2,68 @@
 
 #include <algorithm>
 
+#include "util/check.h"
+#include "util/hot_path.h"
+
 namespace origin::browser {
 
 namespace {
 
-bool cert_covers(const ConnectionRecord& conn, const std::string& hostname) {
-  return conn.certificate != nullptr && conn.certificate->covers(hostname);
+bool cert_covers(const ConnectionRecord& conn, std::string_view host) {
+  return conn.certificate != nullptr && conn.certificate->covers(host);
 }
 
-// Has an ORIGIN frame put `hostname` in the connection's origin set?
-bool origin_set_admits(const ConnectionRecord& conn,
-                       const std::string& hostname) {
+// Has an ORIGIN frame put `host` in the connection's origin set?
+bool origin_set_admits(const ConnectionRecord& conn, std::string_view host) {
   return conn.origin_set != nullptr &&
          conn.origin_set->received_origin_frame() &&
-         conn.origin_set->contains(hostname);
+         conn.origin_set->contains(host);
 }
 
-bool contains(const std::vector<dns::IpAddress>& haystack,
-              dns::IpAddress needle) {
-  return std::find(haystack.begin(), haystack.end(), needle) != haystack.end();
+bool answer_holds(const std::vector<dns::IpAddress>& answer,
+                  dns::IpAddress address) {
+  return std::find(answer.begin(), answer.end(), address) != answer.end();
 }
 
-bool sets_intersect(const std::vector<dns::IpAddress>& a,
-                    const std::vector<dns::IpAddress>& b) {
-  for (const auto& x : a) {
-    if (contains(b, x)) return true;
-  }
-  return false;
+bool answer_overlaps(const std::vector<dns::IpAddress>& answer,
+                     const std::vector<dns::IpAddress>& available) {
+  return std::find_first_of(answer.begin(), answer.end(), available.begin(),
+                            available.end()) != answer.end();
 }
 
 }  // namespace
 
-ReuseDecision ChromiumIpPolicy::evaluate(
-    const ConnectionRecord& conn, const std::string& hostname,
-    const std::vector<dns::IpAddress>& dns_answer) const {
-  ReuseDecision decision;
-  decision.dns_consulted = true;
-  if (!conn.http2) {
-    decision.reason = "h1 connection";
-    return decision;
-  }
-  if (!cert_covers(conn, hostname)) {
-    decision.reason = "certificate does not cover hostname";
-    return decision;
-  }
-  // Connected-set only: the answer must contain the exact address this
-  // connection uses. Transitivity through other answer members is lost.
-  if (!contains(dns_answer, conn.connected_address)) {
-    decision.reason = "connected address not in DNS answer";
-    return decision;
-  }
-  decision.reuse = true;
-  decision.reason = "ip match (connected set)";
-  return decision;
+Policy parse_policy(std::string_view name) {
+  if (name == "chromium-ip") return Policy::kChromiumIp;
+  if (name == "firefox-transitive") return Policy::kFirefoxTransitive;
+  ORIGIN_CHECK(name == "origin-frame",
+               "unknown coalescing policy: want chromium-ip, "
+               "firefox-transitive or origin-frame");
+  return Policy::kOriginFrame;
 }
 
-ReuseDecision FirefoxTransitivePolicy::evaluate(
-    const ConnectionRecord& conn, const std::string& hostname,
-    const std::vector<dns::IpAddress>& dns_answer) const {
-  ReuseDecision decision;
-  decision.dns_consulted = true;
-  if (!conn.http2) {
-    decision.reason = "h1 connection";
-    return decision;
+ORIGIN_HOT bool may_coalesce(Policy policy, Pool request,
+                             const ConnectionRecord& conn,
+                             std::string_view host,
+                             const std::vector<dns::IpAddress>* answer) {
+  if (request != Pool::kCredentialed || conn.pool != Pool::kCredentialed ||
+      !conn.http2) {
+    return false;
   }
-  if (!cert_covers(conn, hostname)) {
-    decision.reason = "certificate does not cover hostname";
-    return decision;
+  if (answer == nullptr) {
+    // ORIGIN membership first: it is cheaper than the SAN walk.
+    return policy == Policy::kOriginFrame && origin_set_admits(conn, host) &&
+           cert_covers(conn, host);
   }
-  // ORIGIN frame first: an explicit origin set admits the hostname without
-  // address checks (the DNS query still happened and was counted).
-  if (origin_set_admits(conn, hostname)) {
-    decision.reuse = true;
-    decision.reason = "origin-set member";
-    return decision;
+  if (!cert_covers(conn, host)) return false;
+  // Connected set only: transitivity through other answer members is lost.
+  if (policy == Policy::kChromiumIp) {
+    return answer_holds(*answer, conn.connected_address);
   }
-  // IP transitivity: any overlap between the connect-time available set and
-  // the subresource's answer set.
-  if (sets_intersect(conn.available_set, dns_answer)) {
-    decision.reuse = true;
-    decision.reason = "ip transitivity (available set)";
-    return decision;
-  }
-  decision.reason = "no address overlap";
-  return decision;
-}
-
-bool OriginFramePolicy::can_decide_without_dns(
-    const ConnectionRecord& conn, const std::string& hostname) const {
-  return conn.http2 && origin_set_admits(conn, hostname) &&
-         cert_covers(conn, hostname);
-}
-
-ReuseDecision OriginFramePolicy::evaluate(
-    const ConnectionRecord& conn, const std::string& hostname,
-    const std::vector<dns::IpAddress>& dns_answer) const {
-  ReuseDecision decision;
-  if (!conn.http2) {
-    decision.dns_consulted = true;
-    decision.reason = "h1 connection";
-    return decision;
-  }
-  if (origin_set_admits(conn, hostname) && cert_covers(conn, hostname)) {
-    decision.reuse = true;
-    decision.dns_consulted = false;
-    decision.reason = "origin-set member, no dns";
-    return decision;
-  }
-  // Fallback: behave like Firefox's transitive IP coalescing.
-  decision.dns_consulted = true;
-  if (!cert_covers(conn, hostname)) {
-    decision.reason = "certificate does not cover hostname";
-    return decision;
-  }
-  if (sets_intersect(conn.available_set, dns_answer)) {
-    decision.reuse = true;
-    decision.reason = "ip transitivity (available set)";
-    return decision;
-  }
-  decision.reason = "no address overlap";
-  return decision;
-}
-
-std::unique_ptr<CoalescingPolicy> make_policy(const std::string& name) {
-  if (name == "chromium-ip") return std::make_unique<ChromiumIpPolicy>();
-  if (name == "firefox-transitive") {
-    return std::make_unique<FirefoxTransitivePolicy>();
-  }
-  if (name == "origin-frame") return std::make_unique<OriginFramePolicy>();
-  return nullptr;
+  // An explicit origin set admits the host without an address check (the
+  // DNS query still happened and was counted).
+  return origin_set_admits(conn, host) ||
+         answer_overlaps(*answer, conn.available_set);
 }
 
 }  // namespace origin::browser

@@ -33,9 +33,7 @@ WireClient::WireClient(Environment& env, netsim::Network& network,
       network_(network),
       options_(std::move(options)),
       degradation_(degradation),
-      policy_(make_policy(options_.policy)) {
-  if (policy_ == nullptr) policy_ = std::make_unique<ChromiumIpPolicy>();
-}
+      policy_(parse_policy(options_.policy)) {}
 
 void WireClient::load(const web::Webpage& page,
                       std::function<void(WireLoadResult)> done) {
@@ -212,19 +210,14 @@ void WireClient::dispatch(std::shared_ptr<LoadState> state, int resource_index,
   auto& entry = state->har.entries[static_cast<std::size_t>(resource_index)];
   entry.start = network_.simulator().now();
 
-  const std::string pool_key =
-      (res.mode == web::RequestMode::kCorsAnonymous ||
-       res.mode == web::RequestMode::kFetchApi)
-          ? "anon"
-          : "cred";
+  const Pool pool = pool_for(res.mode);
 
   // Same-host reuse first; then policy coalescing (both skipped when the
   // resource demands a dedicated connection — a 421 retry or a degradation
   // retry after a coalesced failure).
   if (!dedicated) {
     for (auto& conn : state->pool) {
-      if (!conn->alive || conn->draining ||
-          conn->record.pool_key != pool_key) {
+      if (!conn->alive || conn->draining || conn->record.pool != pool) {
         continue;
       }
       if (conn->record.sni == res.hostname) {
@@ -232,10 +225,8 @@ void WireClient::dispatch(std::shared_ptr<LoadState> state, int resource_index,
         send_request(state, resource_index, conn, true);
         return;
       }
-      if (pool_key == "cred" &&
-          !should_avoid(state, res.hostname, conn->record.sni) &&
-          policy_->can_decide_without_dns(conn->record, res.hostname) &&
-          policy_->evaluate(conn->record, res.hostname, {}).reuse) {
+      if (may_coalesce(policy_, pool, conn->record, res.hostname, nullptr) &&
+          !should_avoid(state, res.hostname, conn->record.sni)) {
         ++state->result.coalesced_requests;
         send_request(state, resource_index, conn, true);
         return;
@@ -249,8 +240,7 @@ void WireClient::dispatch(std::shared_ptr<LoadState> state, int resource_index,
   entry.new_dns_query = !answer.from_cache;
   entry.timings.dns = answer.latency;
   network_.simulator().schedule(answer.latency, [this, state, resource_index,
-                                                 answer, dedicated,
-                                                 pool_key]() {
+                                                 answer, dedicated, pool]() {
     if (state->finished ||
         state->resource_done[static_cast<std::size_t>(resource_index)]) {
       return;
@@ -268,19 +258,17 @@ void WireClient::dispatch(std::shared_ptr<LoadState> state, int resource_index,
                         "dns failure for " + res.hostname);
       return;
     }
-    if (!dedicated && pool_key == "cred") {
+    if (!dedicated && pool == Pool::kCredentialed) {
       for (auto& conn : state->pool) {
-        if (!conn->alive || conn->draining ||
-            conn->record.pool_key != pool_key) {
+        if (!conn->alive || conn->draining || conn->record.pool != pool) {
           continue;
         }
         if (should_avoid(state, res.hostname, conn->record.sni)) {
           ++state->result.robustness.avoided_coalescings;
           continue;
         }
-        auto decision =
-            policy_->evaluate(conn->record, res.hostname, answer.addresses);
-        if (decision.reuse) {
+        if (may_coalesce(policy_, pool, conn->record, res.hostname,
+                         &answer.addresses)) {
           ++state->result.coalesced_requests;
           send_request(state, resource_index, conn, true);
           return;
@@ -408,11 +396,7 @@ void WireClient::open_connection(std::shared_ptr<LoadState> state,
         conn->record.available_set = answer.addresses;
         conn->record.certificate = service->certificate.get();
         conn->record.http2 = true;
-        conn->record.pool_key =
-            (res.mode == web::RequestMode::kCorsAnonymous ||
-             res.mode == web::RequestMode::kFetchApi)
-                ? "anon"
-                : "cred";
+        conn->record.pool = pool_for(res.mode);
         h2::Origin initial;
         initial.host = res.hostname;
         conn->h2 = std::make_shared<h2::Connection>(
@@ -556,7 +540,6 @@ void WireClient::open_connection(std::shared_ptr<LoadState> state,
           // finish_load closes its pool with "load complete"; that is not
           // a degradation event.
           if (state->finished) return;
-          ++state->result.connections_torn_down;
           ++state->result.robustness.connections_torn_down;
           ++state->result.robustness.teardown_reasons[reason];
           if (!was_alive) return;  // streams already failed at the h2 layer

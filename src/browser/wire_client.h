@@ -61,7 +61,6 @@ struct WireLoadResult {
   std::size_t connections_opened = 0;
   std::size_t coalesced_requests = 0;
   std::size_t retries_after_421 = 0;
-  std::size_t connections_torn_down = 0;
   bool complete = false;  // every resource got a terminal outcome
   std::vector<std::string> errors;
   netsim::RobustnessStats robustness;
@@ -117,7 +116,7 @@ class WireClient {
     std::vector<int> attempts;
     int retry_budget_left = 0;
     // Canonical (min,max) host pairs that failed while coalesced; consulted
-    // before every policy-coalescing decision.
+    // before every cross-host reuse.
     std::set<std::pair<std::string, std::string>> avoid;
   };
 
@@ -157,7 +156,7 @@ class WireClient {
   netsim::Network& network_;
   LoaderOptions options_;
   DegradationOptions degradation_;
-  std::unique_ptr<CoalescingPolicy> policy_;
+  Policy policy_;
   // Keeps in-flight loads alive between simulator events (endpoint
   // callbacks hold only weak references to avoid cycles); drained as each
   // load finishes.

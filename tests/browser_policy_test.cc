@@ -35,7 +35,7 @@ ConnectionRecord make_conn(const tls::Certificate& cert,
   conn.available_set = std::move(available);
   conn.certificate = &cert;
   conn.origin_set = &origin_set;
-  conn.pool_key = "cred";
+  conn.pool = Pool::kCredentialed;
   return conn;
 }
 
@@ -54,69 +54,68 @@ struct PaperExample {
                                                IpAddress::v4(0x0A000003)};
 };
 
+// A credentialed request for `host` on `conn`: before DNS when `answer` is
+// null, after DNS otherwise.
+bool reuses(Policy policy, const ConnectionRecord& conn,
+            const std::string& host, const std::vector<IpAddress>* answer) {
+  return may_coalesce(policy, Pool::kCredentialed, conn, host, answer);
+}
+
 TEST(ChromiumPolicy, LosesTransitivity) {
   // Chromium keeps only IP_A in the connected set; {B, C} has no match.
   PaperExample ex;
-  ChromiumIpPolicy policy;
-  auto decision =
-      policy.evaluate(ex.conn, "img.example.com", ex.subresource_answer);
-  EXPECT_FALSE(decision.reuse);
-  EXPECT_TRUE(decision.dns_consulted);
+  EXPECT_FALSE(reuses(Policy::kChromiumIp, ex.conn, "img.example.com",
+                      &ex.subresource_answer));
+  // It never decides without a DNS answer.
+  EXPECT_FALSE(
+      reuses(Policy::kChromiumIp, ex.conn, "img.example.com", nullptr));
 }
 
 TEST(FirefoxPolicy, ExploitsTransitivity) {
   // Firefox's available-set {A, B} intersects {B, C} at B -> reuse.
   PaperExample ex;
-  FirefoxTransitivePolicy policy;
-  auto decision =
-      policy.evaluate(ex.conn, "img.example.com", ex.subresource_answer);
-  EXPECT_TRUE(decision.reuse);
+  EXPECT_TRUE(reuses(Policy::kFirefoxTransitive, ex.conn, "img.example.com",
+                     &ex.subresource_answer));
 }
 
 TEST(ChromiumPolicy, ReusesOnDirectMatch) {
   PaperExample ex;
-  ChromiumIpPolicy policy;
-  auto decision = policy.evaluate(ex.conn, "img.example.com",
-                                  {ex.a, ex.c});  // answer contains A
-  EXPECT_TRUE(decision.reuse);
+  const std::vector<IpAddress> answer = {ex.a, ex.c};  // contains A
+  EXPECT_TRUE(
+      reuses(Policy::kChromiumIp, ex.conn, "img.example.com", &answer));
 }
 
 TEST(ChromiumPolicy, RequiresCertCoverage) {
   PaperExample ex;
-  ChromiumIpPolicy policy;
-  auto decision = policy.evaluate(ex.conn, "other.example.net", {ex.a});
-  EXPECT_FALSE(decision.reuse);
+  const std::vector<IpAddress> answer = {ex.a};
+  EXPECT_FALSE(
+      reuses(Policy::kChromiumIp, ex.conn, "other.example.net", &answer));
 }
 
 TEST(FirefoxPolicy, RequiresCertCoverageEvenWithOverlap) {
   PaperExample ex;
-  FirefoxTransitivePolicy policy;
-  auto decision =
-      policy.evaluate(ex.conn, "other.example.net", ex.subresource_answer);
-  EXPECT_FALSE(decision.reuse);
+  EXPECT_FALSE(reuses(Policy::kFirefoxTransitive, ex.conn,
+                      "other.example.net", &ex.subresource_answer));
 }
 
 TEST(FirefoxPolicy, HonorsOriginFrameButStillQueriesDns) {
   PaperExample ex;
   ex.origin_set.apply_origin_frame({"https://img.example.com"});
-  FirefoxTransitivePolicy policy;
   // §6.8: Firefox cannot decide without DNS...
-  EXPECT_FALSE(policy.can_decide_without_dns(ex.conn, "img.example.com"));
+  EXPECT_FALSE(reuses(Policy::kFirefoxTransitive, ex.conn, "img.example.com",
+                      nullptr));
   // ...but once the (blocking) query returns — even with disjoint
   // addresses — the origin set admits the host.
-  auto decision = policy.evaluate(ex.conn, "img.example.com",
-                                  {IpAddress::v4(0x0B000001)});
-  EXPECT_TRUE(decision.reuse);
+  const std::vector<IpAddress> disjoint = {IpAddress::v4(0x0B000001)};
+  EXPECT_TRUE(reuses(Policy::kFirefoxTransitive, ex.conn, "img.example.com",
+                     &disjoint));
 }
 
 TEST(OriginPolicy, DecidesWithoutDnsForOriginSetMembers) {
   PaperExample ex;
   ex.origin_set.apply_origin_frame({"https://img.example.com"});
-  OriginFramePolicy policy;
-  EXPECT_TRUE(policy.can_decide_without_dns(ex.conn, "img.example.com"));
-  auto decision = policy.evaluate(ex.conn, "img.example.com", {});
-  EXPECT_TRUE(decision.reuse);
-  EXPECT_FALSE(decision.dns_consulted);
+  EXPECT_TRUE(
+      reuses(Policy::kOriginFrame, ex.conn, "img.example.com", nullptr));
 }
 
 TEST(OriginPolicy, OriginSetMemberStillNeedsCertCoverage) {
@@ -124,40 +123,122 @@ TEST(OriginPolicy, OriginSetMemberStillNeedsCertCoverage) {
   // checks. An origin-set entry outside the SAN is not reusable.
   PaperExample ex;
   ex.origin_set.apply_origin_frame({"https://notinsan.example.net"});
-  OriginFramePolicy policy;
-  EXPECT_FALSE(policy.can_decide_without_dns(ex.conn, "notinsan.example.net"));
-  auto decision = policy.evaluate(ex.conn, "notinsan.example.net", {});
-  EXPECT_FALSE(decision.reuse);
+  EXPECT_FALSE(reuses(Policy::kOriginFrame, ex.conn, "notinsan.example.net",
+                      nullptr));
+  const std::vector<IpAddress> empty;
+  EXPECT_FALSE(reuses(Policy::kOriginFrame, ex.conn, "notinsan.example.net",
+                      &empty));
 }
 
 TEST(OriginPolicy, FallsBackToIpTransitivity) {
   PaperExample ex;  // no ORIGIN frame received
-  OriginFramePolicy policy;
-  EXPECT_FALSE(policy.can_decide_without_dns(ex.conn, "img.example.com"));
-  auto decision =
-      policy.evaluate(ex.conn, "img.example.com", ex.subresource_answer);
-  EXPECT_TRUE(decision.reuse);
-  EXPECT_TRUE(decision.dns_consulted);
+  EXPECT_FALSE(
+      reuses(Policy::kOriginFrame, ex.conn, "img.example.com", nullptr));
+  EXPECT_TRUE(reuses(Policy::kOriginFrame, ex.conn, "img.example.com",
+                     &ex.subresource_answer));
 }
 
 TEST(Policies, H1ConnectionsNeverCoalesce) {
   PaperExample ex;
   ex.conn.http2 = false;
   ex.origin_set.apply_origin_frame({"https://img.example.com"});
+  const std::vector<IpAddress> answer = {ex.a};
   for (const std::string name : {"chromium-ip", "firefox-transitive",
                                  "origin-frame"}) {
-    auto policy = make_policy(name);
-    auto decision =
-        policy->evaluate(ex.conn, "img.example.com", {ex.a});
-    EXPECT_FALSE(decision.reuse) << name;
+    const Policy policy = parse_policy(name);
+    EXPECT_FALSE(reuses(policy, ex.conn, "img.example.com", nullptr)) << name;
+    EXPECT_FALSE(reuses(policy, ex.conn, "img.example.com", &answer)) << name;
   }
 }
 
 TEST(Policies, FactoryKnowsAllNamesAndRejectsUnknown) {
-  EXPECT_NE(make_policy("chromium-ip"), nullptr);
-  EXPECT_NE(make_policy("firefox-transitive"), nullptr);
-  EXPECT_NE(make_policy("origin-frame"), nullptr);
-  EXPECT_EQ(make_policy("safari"), nullptr);
+  EXPECT_EQ(parse_policy("chromium-ip"), Policy::kChromiumIp);
+  EXPECT_EQ(parse_policy("firefox-transitive"), Policy::kFirefoxTransitive);
+  EXPECT_EQ(parse_policy("origin-frame"), Policy::kOriginFrame);
+  EXPECT_DEATH((void)parse_policy("safari"), "unknown coalescing policy");
+}
+
+// Every realizable input of the rule: 3 policies × h2 or h1 × SAN coverage
+// or not × (no ORIGIN frame, a frame without the host, a frame with it) ×
+// (an answer disjoint from the available set, one that overlaps it, one
+// that holds the connected address) × before or after DNS. A row is one
+// policy and phase; its four groups are h2 covered, h2 uncovered, h1
+// covered and h1 uncovered, each ORIGIN-major and answer-minor. Before DNS
+// the answer is not consulted, so each triple of a group reads the same.
+// The pinned rows are a credentialed request on a credentialed connection.
+TEST(Policies, DecisionTableIsPinned) {
+  const IpAddress a = IpAddress::v4(0x0A000001);
+  const IpAddress b = IpAddress::v4(0x0A000002);
+  const IpAddress c = IpAddress::v4(0x0A000003);
+  const std::vector<std::vector<IpAddress>> answers = {
+      {c}, {b, c}, {a, c}};  // disjoint, overlapping, connected
+  const tls::Certificate covering =
+      make_cert({"www.example.com", "img.example.com"});
+  const tls::Certificate uncovering = make_cert({"www.example.com"});
+  const std::string host = "img.example.com";
+
+  auto row = [&](const std::string& name, bool after_dns,
+                 Pool request = Pool::kCredentialed,
+                 Pool connection = Pool::kCredentialed) {
+    std::string bits;
+    for (const bool http2 : {true, false}) {
+      for (const bool covered : {true, false}) {
+        if (!bits.empty()) bits += ' ';
+        for (int frame = 0; frame < 3; ++frame) {
+          h2::OriginSet origin_set = initial_origin_set("www.example.com");
+          if (frame == 1) {
+            origin_set.apply_origin_frame({"https://cdn.example.com"});
+          }
+          if (frame == 2) {
+            origin_set.apply_origin_frame({"https://img.example.com"});
+          }
+          ConnectionRecord conn = make_conn(covered ? covering : uncovering,
+                                            origin_set, a, {a, b});
+          conn.http2 = http2;
+          conn.pool = connection;
+          for (const auto& answer : answers) {
+            bits += may_coalesce(parse_policy(name), request, conn, host,
+                                 after_dns ? &answer : nullptr)
+                        ? '1'
+                        : '0';
+          }
+        }
+      }
+    }
+    return bits;
+  };
+
+  // Before DNS only origin-frame reuses, for a covered member of a
+  // received ORIGIN set. After DNS chromium-ip needs the connected address;
+  // the others take ORIGIN membership or any overlap.
+  EXPECT_EQ(row("chromium-ip", false),
+            "000000000 000000000 000000000 000000000");
+  EXPECT_EQ(row("chromium-ip", true),
+            "001001001 000000000 000000000 000000000");
+  EXPECT_EQ(row("firefox-transitive", false),
+            "000000000 000000000 000000000 000000000");
+  EXPECT_EQ(row("firefox-transitive", true),
+            "011011111 000000000 000000000 000000000");
+  EXPECT_EQ(row("origin-frame", false),
+            "000000111 000000000 000000000 000000000");
+  EXPECT_EQ(row("origin-frame", true),
+            "011011111 000000000 000000000 000000000");
+
+  // An anonymous request or connection never coalesces (§5.3).
+  const std::pair<Pool, Pool> partitions[] = {
+      {Pool::kCredentialed, Pool::kAnonymous},
+      {Pool::kAnonymous, Pool::kCredentialed},
+      {Pool::kAnonymous, Pool::kAnonymous}};
+  for (const auto& [request, connection] : partitions) {
+    for (const std::string name :
+         {"chromium-ip", "firefox-transitive", "origin-frame"}) {
+      for (const bool after_dns : {false, true}) {
+        EXPECT_EQ(row(name, after_dns, request, connection),
+                  "000000000 000000000 000000000 000000000")
+            << name << (after_dns ? " after" : " before") << " DNS";
+      }
+    }
+  }
 }
 
 // Property sweep: ORIGIN-policy reuse is a superset of Firefox reuse, which
@@ -166,9 +247,6 @@ class PolicyOrderingSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(PolicyOrderingSweep, ReuseIsMonotoneAcrossPolicies) {
   origin::util::Rng rng(static_cast<std::uint64_t>(GetParam()));
-  ChromiumIpPolicy chromium;
-  FirefoxTransitivePolicy firefox;
-  OriginFramePolicy origin_policy;
   for (int trial = 0; trial < 200; ++trial) {
     PaperExample ex;
     // Random available set and answer set over 4 addresses.
@@ -186,9 +264,12 @@ TEST_P(PolicyOrderingSweep, ReuseIsMonotoneAcrossPolicies) {
     if (rng.bernoulli(0.5)) {
       ex.origin_set.apply_origin_frame({"https://img.example.com"});
     }
-    const bool c = chromium.evaluate(ex.conn, "img.example.com", answer).reuse;
-    const bool f = firefox.evaluate(ex.conn, "img.example.com", answer).reuse;
-    const bool o = origin_policy.evaluate(ex.conn, "img.example.com", answer).reuse;
+    const bool c =
+        reuses(Policy::kChromiumIp, ex.conn, "img.example.com", &answer);
+    const bool f = reuses(Policy::kFirefoxTransitive, ex.conn,
+                          "img.example.com", &answer);
+    const bool o =
+        reuses(Policy::kOriginFrame, ex.conn, "img.example.com", &answer);
     EXPECT_LE(c, f) << "chromium reused where firefox did not";
     EXPECT_LE(f, o) << "firefox reused where origin-policy did not";
   }
