@@ -9,8 +9,8 @@
 //      encode, the torn/complete/committed windows inside the durable
 //      write, the manifest append, per-shard analyze) a child is killed at
 //      that boundary (exit code util::crash::kCrashExitCode) and a second
-//      child resumes with ORIGIN_RESUME=1. Every resume must reproduce the
-//      baseline StreamStats digests bit-identically, reuse exactly the
+//      child resumes from the journal it left. Every resume must reproduce
+//      the baseline StreamStats digests bit-identically, reuse exactly the
 //      shards committed before the kill, and regenerate, quarantine and
 //      reset nothing;
 //   3. corruption — after a clean kill at the analyze boundary one shard
@@ -18,12 +18,15 @@
 //      (never read it as data), rebuild it deterministically, and still
 //      match the baseline digests.
 //
-// Every child runs at the baseline's 8 threads, so each row's recovery
-// overhead (kill wall + resume wall vs the uninterrupted baseline) compares
-// like with like; it is reported, not gated. Any digest mismatch,
-// unexpected child exit, recovery count off its exact value (a FAIL line
-// names the row and field), or missed quarantine is fatal. Emits
-// BENCH_crash.json through bench/report.h.
+// Every child runs with StreamingOptions::resume set: the supervisor
+// empties the spill dir before every fresh child, and a resume over a
+// directory with no journal is a fresh run. Every child also runs at the
+// baseline's 8 threads, so each row's recovery overhead (kill wall +
+// resume wall vs the uninterrupted baseline) compares like with like; it
+// is reported, not gated. Any digest mismatch, unexpected child exit,
+// recovery count off its exact value (a FAIL line names the row and
+// field), or missed quarantine is fatal. Emits BENCH_crash.json through
+// bench/report.h.
 //
 // Flags: --sites (default 20,000; the matrix needs 3 shards, and a
 // smaller corpus fails after the baseline with one FAIL line) and --dir
@@ -81,10 +84,10 @@ constexpr CrashPoint kMatrix[] = {
 
 // --- child ----------------------------------------------------------------
 
-// One full streamed run over the spill dir. ORIGIN_CRASH_AT (set by the
-// supervisor in the child's environment) kills it at the armed boundary;
-// ORIGIN_RESUME=1 makes it replay the journal first. On success the
-// StreamStats digests and RecoveryStats land in `out` as JSON.
+// One full streamed run over the spill dir, replaying its journal first
+// when one is there. ORIGIN_CRASH_AT (set by the supervisor in the child's
+// environment) kills it at the armed boundary. On success the StreamStats
+// digests and RecoveryStats land in `out` as JSON.
 int run_child(std::size_t sites, std::uint64_t seed, const std::string& dir,
               const std::string& out) {
   using namespace origin;
@@ -98,6 +101,7 @@ int run_child(std::size_t sites, std::uint64_t seed, const std::string& dir,
   options.loader = bench::chrome_collect_options().loader;
   options.threads = kThreads;
   options.spill_dir = dir;
+  options.resume = true;
   measure::PassiveShardObserver observer("bench.example", 0.05, 0xCD4, 1);
   options.observer = &observer;
 
@@ -305,8 +309,8 @@ int main(int argc, char** argv) {
     }
 
     t0 = std::chrono::steady_clock::now();
-    rc = spawn_child(self, "ORIGIN_RESUME=1", args.sites, args.seed, spill_dir,
-                     child_out, child_log);
+    rc = spawn_child(self, "", args.sites, args.seed, spill_dir, child_out,
+                     child_log);
     const double resume_ms = bench::ms_since(t0);
     if (rc != 0) {
       std::fprintf(stderr, "FAIL: %s resume exited %d\n", point.point, rc);
@@ -372,8 +376,8 @@ int main(int argc, char** argv) {
     bool ok = rc == util::crash::kCrashExitCode;
     if (ok) ok = flip_shard_byte(spill_dir + "/shard_000001.ocs");
     if (ok) {
-      rc = spawn_child(self, "ORIGIN_RESUME=1", args.sites, args.seed,
-                       spill_dir, child_out, child_log);
+      rc = spawn_child(self, "", args.sites, args.seed, spill_dir,
+                       child_out, child_log);
       ok = rc == 0;
       if (!ok) dump_log(child_log);
     }

@@ -32,21 +32,16 @@
 #      (timeout, backoff, avoid-list, re-dispatch) runs at each rate with
 #      the allocator instrumented (leg 5 already ran the rest of the wire
 #      suites under ASan)
-#   7. overload abuse matrix: the server-side overload suites replayed
-#      under the ASan build across ORIGIN_ABUSE_MIX attacker mixes, so
-#      every shed path (rapid-reset, header bomb, PING/SETTINGS floods,
-#      slowloris reaping, admission refusal, drain) runs with the
-#      allocator instrumented under each mix
-#   8. kill–resume matrix: the crash-consistency suites (durable-file
-#      commit windows, OCM1 manifest totality, the in-process kill–resume
-#      matrix over every ORIGIN_CRASH_AT point class, each killed at 1 and
-#      8 threads and resumed at 1 and 8)
-#      replayed under the ASan build, so every recovery path (torn-temp
-#      sweep, journal tail truncation, quarantine + rebuild) runs with the
-#      allocator instrumented
-#   9. UBSan preset build + full ctest (-fsanitize=undefined plus
+#   7. overload abuse matrix: Overload.EnvAbuseMatrix…, the one test that
+#      reads ORIGIN_ABUSE_MIX, replayed under the ASan build across
+#      attacker mixes, so every shed path (rapid-reset, header bomb,
+#      PING/SETTINGS floods, slowloris reaping) runs with the allocator
+#      instrumented under each mix (leg 5 already ran the rest of the
+#      overload and admission suites, and the crash-consistency suites,
+#      under ASan)
+#   8. UBSan preset build + full ctest (-fsanitize=undefined plus
 #      float-cast-overflow, which GCC leaves out of `undefined`)
-#  10. TSan preset build + the concurrency suites (thread pool and lane
+#   9. TSan preset build + the concurrency suites (thread pool and lane
 #      stress + pipeline determinism + fault-schedule determinism + the
 #      overload ledger 1-vs-8-thread determinism checks + the kill–resume
 #      matrix, whose analyze kills at 8 threads return with both digest
@@ -55,19 +50,18 @@
 #      lane + the non-contiguous resume, whose loader lane prefetches
 #      across a reused shard) with ORIGIN_THREADS=8, so every shard path
 #      and the lanes' error path run contended under the race detector
-#  11. paper run + engineering benches: Release build of bench_paper, the
+#  10. paper run + engineering benches: Release build of bench_paper, the
 #      perf benches and the crash ablation, warnings as errors as in leg 1
 #      (Release inlining finds some that leg 1 cannot). bench_paper's
 #      default run must equal the committed bench_output.txt byte for
 #      byte (the Repro column of EXPERIMENTS.md quotes that file). That
 #      diff also pins every number of the fault and overload ablations,
 #      and their in-run checks fail the leg through bench_paper's exit
-#      status. Then the four engineering benches run at their default
+#      status. Then the three engineering benches run at their default
 #      sizes from inside build-perf, so their BENCH_*.json reports and
-#      spill directories land there. Each exits
-#      non-zero when an in-run check fails: golden equality, digests, the
-#      exact pins on the work it did (bench/report.h), or the model
-#      bench's fused >= 3x baseline. No wall-clock number is gated here;
+#      spill directories land there. Each exits non-zero when an in-run
+#      check fails: golden equality, digests, or the exact pins on the
+#      work it did (bench/report.h). No wall-clock number is gated here;
 #      throughput is compared in the repository benchmark's back-to-back
 #      parent/change pairs
 #
@@ -88,16 +82,16 @@ run_suite() {
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
 }
 
-echo "==> [1/11] tier-1 build + ctest (analyze + fuzz replays included)"
+echo "==> [1/10] tier-1 build + ctest (analyze + fuzz replays included)"
 run_suite build -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 
-echo "==> [2/11] perfbench tests (library digest vs perfbench's text digest)"
+echo "==> [2/10] perfbench tests (library digest vs perfbench's text digest)"
 cmake -B build-perfbench -S perfbench -DCMAKE_BUILD_TYPE=Release
 cmake --build build-perfbench -j "$JOBS"
 ctest --test-dir build-perfbench --output-on-failure --no-tests=error \
   -j "$JOBS"
 
-echo "==> [3/11] origin_analyze contract gate (full src/ tree, drift-checked)"
+echo "==> [3/10] origin_analyze contract gate (full src/ tree, drift-checked)"
 ./build/tools/analyze/origin_analyze --root=. \
   --waivers=tools/analyze/waivers.txt \
   --baseline=analyze_findings.json \
@@ -105,7 +99,7 @@ echo "==> [3/11] origin_analyze contract gate (full src/ tree, drift-checked)"
 echo "findings artifact: build/analyze_findings.json" \
   "(copy it to the repo root and commit it to accept new waivers)"
 
-echo "==> [4/11] clang-tidy (parser directories)"
+echo "==> [4/10] clang-tidy (parser directories)"
 if command -v clang-tidy >/dev/null 2>&1; then
   cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
   git ls-files 'src/h2/*.cc' 'src/hpack/*.cc' 'src/web/*.cc' 'src/util/*.cc' |
@@ -119,19 +113,17 @@ if [[ "$QUICK" == "1" ]]; then
   exit 0
 fi
 
-echo "==> [5/11] AddressSanitizer preset"
+echo "==> [5/10] AddressSanitizer preset"
 run_suite build-asan -DORIGIN_SANITIZE=address
 
-echo "==> [6/11] fault matrix (ORIGIN_FAULT_RATE sweep, ASan)"
+echo "==> [6/10] fault matrix (ORIGIN_FAULT_RATE sweep, ASan)"
 for rate in 0 0.05 0.20; do
   echo "--- ORIGIN_FAULT_RATE=$rate"
   ORIGIN_FAULT_RATE="$rate" ctest --test-dir build-asan --output-on-failure \
     -R 'FaultInjection.EnvFaultMatrixAlwaysTerminates'
 done
 
-echo "==> [7/11] overload abuse matrix (ORIGIN_ABUSE_MIX sweep, ASan)"
-ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Overload|Admission'
+echo "==> [7/10] overload abuse matrix (ORIGIN_ABUSE_MIX sweep, ASan)"
 for mix in 'rapid_reset=6' 'slowloris=4' \
            'header_bomb=2,ping_flood=2,settings_flood=2'; do
   echo "--- ORIGIN_ABUSE_MIX=$mix"
@@ -139,25 +131,21 @@ for mix in 'rapid_reset=6' 'slowloris=4' \
     -R 'Overload.EnvAbuseMatrixShedsEveryAttackerAndServesTheRest'
 done
 
-echo "==> [8/11] kill–resume matrix (crash-consistency suites, ASan)"
-ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'CrashResume|DurableFile|Manifest|FuzzRegressionManifest|fuzz_manifest_replay'
-
-echo "==> [9/11] UndefinedBehaviorSanitizer preset"
+echo "==> [8/10] UndefinedBehaviorSanitizer preset"
 run_suite build-ubsan -DORIGIN_SANITIZE=undefined
 
-echo "==> [10/11] ThreadSanitizer preset (concurrency suites, 8 threads)"
+echo "==> [9/10] ThreadSanitizer preset (concurrency suites, 8 threads)"
 cmake -B build-tsan -S . -DORIGIN_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS"
 ORIGIN_THREADS=8 ctest --test-dir build-tsan --output-on-failure \
   -R 'ThreadPool|PipelineDeterminism|FaultDeterminism|BitIdenticalAcrossThreadCounts|CrashResumeTest.KillResumeMatrixIsBitIdentical|CrashResumeTest.ResumeRebuildsNonContiguousShards'
 
-echo "==> [11/11] paper run + engineering benches (Release, in-run checks)"
+echo "==> [10/10] paper run + engineering benches (Release, in-run checks)"
 cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build-perf -j "$JOBS" \
-  --target bench_paper bench_perf_pipeline bench_perf_model \
-           bench_perf_corpus bench_ablation_crash
+  --target bench_paper bench_perf_pipeline bench_perf_corpus \
+           bench_ablation_crash
 ./build-perf/bench/bench_paper > build-perf/bench_output.txt
 diff -u bench_output.txt build-perf/bench_output.txt
 # From inside build-perf, so no report or spill directory lands in the
@@ -165,7 +153,6 @@ diff -u bench_output.txt build-perf/bench_output.txt
 # BENCH_<name>.json instead: that is how a record is refreshed.
 cd build-perf
 ./bench/bench_perf_pipeline
-./bench/bench_perf_model
 ./bench/bench_perf_corpus
 ./bench/bench_ablation_crash
 

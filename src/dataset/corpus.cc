@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <filesystem>
 #include <utility>
 
@@ -150,13 +149,7 @@ void TimelineColumns::set_identity(std::uint64_t shard_index,
 std::uint32_t TimelineColumns::intern(std::string_view name) {
   if (const std::uint32_t* id = symbol_index_.find(name)) return *id;
   const std::uint32_t id = static_cast<std::uint32_t>(symbol_names_.size());
-  // analyze:allow(hot-transitive): the symbol table grows once per unique
-  // hostname per shard, in the cold append_page wrapper — never inside the
-  // HOT row appends; the reported hot chain is a by-name match of intern()
-  // against the coalescing model's unrelated interner.
   symbol_names_.emplace_back(name);
-  // analyze:allow(hot-transitive): same false chain as above — the index
-  // grows once per unique hostname per shard in this cold wrapper only.
   symbol_index_.emplace(symbol_names_.back(), id);
   return id;
 }
@@ -270,10 +263,6 @@ ShardMeta TimelineColumns::meta() const {
 
 StreamingCorpus::StreamingCorpus(Corpus& corpus, StreamingOptions options)
     : corpus_(corpus), options_(std::move(options)) {
-  if (!options_.resume) {
-    const char* env = std::getenv("ORIGIN_RESUME");
-    options_.resume = env != nullptr && env[0] == '1';
-  }
   build_eligible();
 }
 

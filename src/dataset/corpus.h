@@ -31,11 +31,11 @@
 // is resumable. Every spilled shard is committed by durable rename
 // (util/durable_file.h) and then journaled in an OCM1 manifest
 // (dataset/manifest.h) keyed by a digest of the run configuration. A
-// restarted run with StreamingOptions::resume (or ORIGIN_RESUME=1) sweeps
-// torn temps, replays the journal, reuses every recorded shard whose file
-// checks out, regenerates the rest from their site ranges, and produces
-// StreamStats bit-identical to an uninterrupted run — recovery bookkeeping
-// lives in the separate RecoveryStats so the golden digests stay equal.
+// restarted run with StreamingOptions::resume sweeps torn temps, replays
+// the journal, reuses every recorded shard whose file checks out,
+// regenerates the rest from their site ranges, and produces StreamStats
+// bit-identical to an uninterrupted run — recovery bookkeeping lives in
+// the separate RecoveryStats so the golden digests stay equal.
 #pragma once
 
 #include <cstdint>
@@ -185,9 +185,10 @@ struct StreamingOptions {
   // Leave spilled shard files on disk after analyze() consumes them.
   bool keep_shards = false;
   // Resume from the spill directory's OCM1 manifest if one is present and
-  // its config digest matches this run (ORIGIN_RESUME=1 sets this too).
-  // Without resume a stale manifest and its shards are swept and the run
-  // starts fresh; either way the outputs are bit-identical.
+  // its config digest matches this run; with no journal (or no directory)
+  // a resume is a fresh run. Without resume a stale manifest and its shards
+  // are swept and the run starts fresh; either way the outputs are
+  // bit-identical.
   bool resume = false;
   browser::LoaderOptions loader;
   // Optional per-shard hook (not owned); see ShardObserver.

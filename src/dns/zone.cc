@@ -154,7 +154,6 @@ const Zone* AuthoritativeDns::find_zone_for(std::string_view name) const {
 
 std::vector<ResourceRecord> AuthoritativeDns::query(const std::string& name,
                                                     RecordType type) {
-  queries_.fetch_add(1, std::memory_order_relaxed);
   Zone* zone = find_zone_for(name);
   if (zone == nullptr) return {};
   return zone->query(name, type);
@@ -162,7 +161,6 @@ std::vector<ResourceRecord> AuthoritativeDns::query(const std::string& name,
 
 std::vector<ResourceRecord> AuthoritativeDns::query_at(
     const std::string& name, RecordType type, std::uint64_t rotation) const {
-  queries_.fetch_add(1, std::memory_order_relaxed);
   const Zone* zone = find_zone_for(name);
   if (zone == nullptr) return {};
   return zone->query_at(name, type, rotation);

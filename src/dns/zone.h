@@ -7,7 +7,6 @@
 // experiments reproduce exactly those divergent outcomes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -89,21 +88,15 @@ class AuthoritativeDns {
   const Zone* find_zone_for(std::string_view name) const;
   const ZoneMap& zones() const { return zones_; }
 
-  std::uint64_t query_count() const {
-    return queries_.load(std::memory_order_relaxed);
-  }
   // Stateful rotation (single-threaded direct users).
   std::vector<ResourceRecord> query(const std::string& name, RecordType type);
-  // Caller-supplied rotation; safe for concurrent resolvers. The query
-  // counter is an order-independent sum, so it stays exact in parallel.
+  // Caller-supplied rotation; safe for concurrent resolvers.
   std::vector<ResourceRecord> query_at(const std::string& name,
                                        RecordType type,
                                        std::uint64_t rotation) const;
 
  private:
   ZoneMap zones_;
-  // Atomic: concurrent page loads all funnel their recursive queries here.
-  mutable std::atomic<std::uint64_t> queries_ = 0;
 };
 
 }  // namespace origin::dns

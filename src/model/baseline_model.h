@@ -5,9 +5,10 @@
 // This is NOT pipeline code: it exists so the interned hot path in
 // coalescing_model.{h,cc} stays honest. tests/pipeline_determinism_test.cc
 // asserts the interned pipeline's outputs are byte-identical to this
-// implementation's, and bench/bench_perf_model.cc measures the fused-batch
-// speedup against it in the same run (the ≥3× gate recorded in
-// BENCH_model.json). Do not optimize this file.
+// implementation's, and bench/bench_perf_pipeline.cc times and counts it
+// against the interned analyze_batch + reconstruct_batch pair on the same
+// pages (recorded in BENCH_pipeline.json, pinned on its allocation
+// count, not gated on time). Do not optimize this file.
 #pragma once
 
 #include <cstdint>

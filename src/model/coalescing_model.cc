@@ -34,9 +34,9 @@ ORIGIN_HOT std::string_view format_asn_key(char (&buffer)[16], std::uint32_t asn
   return {buffer, static_cast<std::size_t>(result.ptr - buffer)};
 }
 
-// Per-thread workspace for the scratch-less convenience overloads and the
-// batch APIs: each worker reuses one arena across every page it replays,
-// which is what makes the batch steady state allocation-free.
+// Per-thread workspace for every analyze and reconstruct call: each worker
+// reuses one arena across every page it replays, so a warm scratch
+// allocates nothing.
 AnalysisScratch& local_scratch() {
   static thread_local AnalysisScratch scratch;
   return scratch;
@@ -252,7 +252,7 @@ ORIGIN_HOT void batch_join(std::size_t i, util::SymbolId group,
 // Reads of an entry's original fields happen before that entry is mutated,
 // and anchors always point backwards (j < i), so by the time entry i needs
 // out.entries[j].end() the anchor has already been rebuilt — in-place
-// mutation is safe for both the copy path and the consume path.
+// mutation of the copy is safe.
 ORIGIN_HOT void rebuild_in_place(web::PageLoad& page, AnalysisScratch& s) {
   // Re-anchoring (see compute_anchors): the HAR does not retain dependency
   // edges (same as the paper's input data), so the anchor is recovered
@@ -459,31 +459,21 @@ void CoalescingModel::analyze_into(const web::PageLoad& load,
 }
 
 PageAnalysis CoalescingModel::analyze(const web::PageLoad& load) const {
-  return analyze(load, local_scratch());
-}
-
-PageAnalysis CoalescingModel::analyze(const web::PageLoad& load,
-                                      AnalysisScratch& scratch) const {
   PageAnalysis analysis;
-  analyze_into(load, &analysis, scratch);
+  analyze_into(load, &analysis, local_scratch());
   return analysis;
 }
 
 web::PageLoad CoalescingModel::reconstruct(
     const web::PageLoad& load, const PageAnalysis& analysis,
     const std::string& restrict_to_group) const {
-  return reconstruct(load, analysis, restrict_to_group, local_scratch());
-}
-
-web::PageLoad CoalescingModel::reconstruct(
-    const web::PageLoad& load, const PageAnalysis& analysis,
-    const std::string& restrict_to_group, AnalysisScratch& scratch) const {
   const bool restricted = !restrict_to_group.empty();
   // An unknown key was never assigned to any entry, so it restricts the
   // reconstruction to nothing — the seed's behaviour for unknown groups.
   const util::SymbolId restrict_to =
       restricted ? groups_.lookup(restrict_to_group) : util::kInvalidSymbol;
-  return reconstruct_impl(load, analysis, restricted, restrict_to, scratch);
+  return reconstruct_impl(load, analysis, restricted, restrict_to,
+                          local_scratch());
 }
 
 web::PageLoad CoalescingModel::reconstruct_impl(
@@ -522,35 +512,6 @@ web::PageLoad CoalescingModel::reconstruct_impl(
 
   rebuild_in_place(out, s);
   return out;
-}
-
-ORIGIN_HOT void CoalescingModel::replay_page_in_place(web::PageLoad& page,
-                                           bool restricted,
-                                           util::SymbolId restrict_to,
-                                           AnalysisScratch& s) const {
-  page.extra_dns_queries = 0;  // races ride on avoided connections
-  page.extra_tls_connections = 0;
-  const std::size_t n = page.entries.size();
-
-  // Fused scan: the reduced analysis (group + repeat-of-group, exactly
-  // analyze_into's coalescable_origin condition) folds into the batch
-  // scan's entry loop. Entries that cannot coalesce (unknown AS or
-  // plaintext) never even resolve their group.
-  s.batches.clear();
-  s.open_batches.clear();
-  s.batch_of.assign(n, -1);
-  s.groups_seen.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const web::HarEntry& entry = page.entries[i];
-    if (entry.asn == 0 || !entry.secure) continue;
-    const util::SymbolId group = group_of(entry.hostname, entry.asn);
-    if (s.groups_seen.insert(group)) continue;  // first of its group
-    if (restricted && group != restrict_to) continue;
-    batch_join(i, group, entry, s);
-  }
-
-  if (s.batches.empty()) return;
-  rebuild_in_place(page, s);
 }
 
 void CoalescingModel::intern_groups(
@@ -592,36 +553,6 @@ std::vector<web::PageLoad> CoalescingModel::reconstruct_batch(
                               local_scratch());
   });
   return out;
-}
-
-std::vector<web::PageLoad> CoalescingModel::replay_batch(
-    const std::vector<web::PageLoad>& loads,
-    const std::string& restrict_to_group, std::size_t threads) const {
-  intern_groups(loads);
-  const bool restricted = !restrict_to_group.empty();
-  const util::SymbolId restrict_to =
-      restricted ? groups_.lookup(restrict_to_group) : util::kInvalidSymbol;
-  std::vector<web::PageLoad> out(loads.size());
-  origin::util::ThreadPool pool(threads);
-  pool.parallel_for_index(loads.size(), [&](std::size_t i) {
-    out[i] = loads[i];
-    replay_page_in_place(out[i], restricted, restrict_to, local_scratch());
-  });
-  return out;
-}
-
-std::vector<web::PageLoad> CoalescingModel::replay_batch(
-    std::vector<web::PageLoad>&& loads, const std::string& restrict_to_group,
-    std::size_t threads) const {
-  intern_groups(loads);
-  const bool restricted = !restrict_to_group.empty();
-  const util::SymbolId restrict_to =
-      restricted ? groups_.lookup(restrict_to_group) : util::kInvalidSymbol;
-  origin::util::ThreadPool pool(threads);
-  pool.parallel_for_index(loads.size(), [&](std::size_t i) {
-    replay_page_in_place(loads[i], restricted, restrict_to, local_scratch());
-  });
-  return std::move(loads);
 }
 
 }  // namespace origin::model

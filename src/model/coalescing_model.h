@@ -75,9 +75,10 @@ struct PageAnalysis {
 };
 
 // Per-thread workspace reused across analyze/reconstruct calls. All
-// members clear() without releasing capacity, so batch replay over a
-// corpus does zero steady-state allocation once warm. Not thread-safe;
-// the batch APIs keep one instance per worker thread.
+// members clear() without releasing capacity, so once warm the scratch
+// allocates nothing: what a batch still allocates is its output (each
+// page's PageAnalysis::entries, and the pages reconstruct_batch returns).
+// Not thread-safe; every call uses the calling thread's instance.
 struct AnalysisScratch {
   // analyze()
   util::FlatSet<util::SymbolId> groups_seen;
@@ -130,8 +131,6 @@ class CoalescingModel {
                            Grouping grouping = Grouping::kAsn);
 
   PageAnalysis analyze(const web::PageLoad& load) const;
-  PageAnalysis analyze(const web::PageLoad& load,
-                       AnalysisScratch& scratch) const;
 
   // §4.1 conservative timeline reconstruction. `restrict_to_group`
   // non-empty limits coalescing to that group only (the "deployment CDN
@@ -140,10 +139,6 @@ class CoalescingModel {
   web::PageLoad reconstruct(const web::PageLoad& load,
                             const PageAnalysis& analysis,
                             const std::string& restrict_to_group = "") const;
-  web::PageLoad reconstruct(const web::PageLoad& load,
-                            const PageAnalysis& analysis,
-                            const std::string& restrict_to_group,
-                            AnalysisScratch& scratch) const;
 
   // Sharded per-site replay: analyze/reconstruct every load on a thread
   // pool. Both are pure per page and results are merged by input index, so
@@ -154,25 +149,6 @@ class CoalescingModel {
   std::vector<web::PageLoad> reconstruct_batch(
       const std::vector<web::PageLoad>& loads,
       const std::vector<PageAnalysis>& analyses,
-      const std::string& restrict_to_group = "",
-      std::size_t threads = 1) const;
-
-  // Fused analyze+reconstruct per page: no retained PageAnalysis vector,
-  // one scratch pass per load. Only bench_perf_model (its gated metric) and
-  // tests call it: the corpus pipeline (StreamingCorpus::analyze,
-  // run_materialized) aggregates every PageAnalysis, so it runs
-  // analyze_batch + reconstruct_batch.
-  std::vector<web::PageLoad> replay_batch(
-      const std::vector<web::PageLoad>& loads,
-      const std::string& restrict_to_group = "",
-      std::size_t threads = 1) const;
-
-  // Consume overload: reconstructs the given pages in place and returns the
-  // same vector. Skips the per-page deep copy (hostnames, DNS answer sets,
-  // issuer strings) that dominates the copying overload's profile — use it
-  // when the measured timeline is not needed afterwards.
-  std::vector<web::PageLoad> replay_batch(
-      std::vector<web::PageLoad>&& loads,
       const std::string& restrict_to_group = "",
       std::size_t threads = 1) const;
 
@@ -195,15 +171,6 @@ class CoalescingModel {
                                  const PageAnalysis& analysis, bool restricted,
                                  util::SymbolId restrict_to,
                                  AnalysisScratch& scratch) const;
-  // One-pass fused replay: the §4.2 counts and ideal-IP flags are not
-  // needed to rebuild the waterfall, so the batch scan folds the reduced
-  // analysis (group + repeat-of-group) directly into its entry loop and
-  // mutates the page in place. Output is identical to
-  // reconstruct(load, analyze(load), restrict) — enforced by the golden
-  // test against the string-keyed baseline.
-  void replay_page_in_place(web::PageLoad& page, bool restricted,
-                            util::SymbolId restrict_to,
-                            AnalysisScratch& scratch) const;
   // Serial intern prepass over a batch input: assigns any not-yet-seen
   // group id in input order before the parallel region runs.
   void intern_groups(const std::vector<web::PageLoad>& loads) const;

@@ -108,7 +108,6 @@ const char* TrustStore::outcome_name(Outcome outcome) {
 TrustStore::Outcome TrustStore::validate(const Certificate& cert,
                                          std::string_view hostname,
                                          origin::util::SimTime now) const {
-  validations_.fetch_add(1, std::memory_order_relaxed);
   if (now < cert.not_before) return Outcome::kNotYetValid;
   if (now > cert.not_after) return Outcome::kExpired;
   const CertificateAuthority* issuer = nullptr;

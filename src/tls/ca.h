@@ -4,7 +4,6 @@
 // 100 names, Comodo at 2000).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -69,16 +68,8 @@ class TrustStore {
   Outcome validate(const Certificate& cert, std::string_view hostname,
                    origin::util::SimTime now) const;
 
-  // Total validations performed (each is one client-side crypto check).
-  std::uint64_t validation_count() const {
-    return validations_.load(std::memory_order_relaxed);
-  }
-
  private:
   std::vector<const CertificateAuthority*> cas_;
-  // Atomic: every concurrent page load validates through the one shared
-  // store; the count is an order-independent sum.
-  mutable std::atomic<std::uint64_t> validations_ = 0;
 };
 
 }  // namespace origin::tls

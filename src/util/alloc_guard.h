@@ -11,18 +11,17 @@
 // reaches libstdc++ (`nm` shows alloc_hook_touch in bench_paper and every
 // example). A build that compiles alloc_guard.cc directly, as perfbench's
 // glob over src/util does, gets it too. The cost is one thread-local
-// increment per allocation. A binary that defines its own operator new
-// (bench_perf_model) keeps its own. util::alloc_hook_touch() is for tests
-// that must be sure the replacement is in.
+// increment per allocation. util::alloc_hook_touch() is for tests that
+// must be sure the replacement is in.
 //
 // The counters are thread-local: a guard only observes allocations made on
 // its own thread. Measure batch APIs at threads == 1 (the serial inline
 // path), where every allocation lands on the caller.
 //
-// This is what turns "~0 allocs/page warm" from a bench note into a
-// failing test (DESIGN.md §11): warm the scratch arenas with one batch,
-// arm a guard, replay again, and assert the marginal count per page is
-// zero.
+// This is what turns "a warm scratch allocates nothing" from a bench note
+// into a failing test (DESIGN.md §11): warm the scratch arenas with one
+// batch, arm a guard, run two batch sizes, and assert that each extra page
+// costs exactly its output.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // util::AllocGuard — the runtime half of the ORIGIN_HOT contract. The
-// first tests pin the counting hook itself; the replay test then turns
-// PR 4's "zero allocations per page once scratch is warm" claim into a
-// failing assertion instead of a bench number.
+// first tests pin the counting hook itself; the model test then turns the
+// claim that a warm AnalysisScratch allocates nothing into a failing
+// assertion instead of a bench number.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -73,7 +73,7 @@ TEST(AllocGuardTest, DeliberateHotPathAllocationIsCaught) {
       << "a hidden allocation must not escape the guard";
 }
 
-// --- replay_batch steady-state claim -----------------------------------
+// --- the model batch pair's steady state --------------------------------
 
 // Mirrors tests/model_test.cc's world: one CDN spanning three hostnames
 // plus an independent tracker, loaded with the chromium-ip policy.
@@ -134,42 +134,55 @@ std::vector<web::PageLoad> clone_pages(const web::PageLoad& page,
   return std::vector<web::PageLoad>(count, page);
 }
 
-std::uint64_t replay_allocations(const model::CoalescingModel& model,
-                                 std::vector<web::PageLoad>&& pages) {
+// One analyze_batch + reconstruct_batch pass at threads == 1, the serial
+// inline path, where every allocation lands on the calling thread.
+std::uint64_t batch_pair_allocations(const model::CoalescingModel& model,
+                                     const std::vector<web::PageLoad>& pages) {
   AllocGuard guard;
-  auto out = model.replay_batch(std::move(pages), "", /*threads=*/1);
-  escape(out.data());
+  const auto analyses = model.analyze_batch(pages, /*threads=*/1);
+  auto rebuilt = model.reconstruct_batch(pages, analyses, "", 1);
+  escape(rebuilt.data());
   return guard.allocations();
 }
 
-// PR 4's headline property as a test: once the symbol table and scratch
-// arenas are warm, the in-place serial replay path allocates nothing per
-// page. Doubling the batch must not change the allocation count (zero
-// marginal cost), and the absolute count per batch call stays at the tiny
-// fixed overhead of dispatching the batch itself.
-TEST(AllocGuardTest, WarmReplayBatchHasZeroMarginalAllocationsPerPage) {
+// Once the symbol table and the scratch arenas are warm, the batch pair
+// allocates only what it returns: per page, the PageAnalysis::entries
+// vector and the reconstructed copy of the page. So going from 8 to 16
+// pages adds exactly 8 × (1 + one page copy's allocations), and what is
+// left is the fixed cost of dispatching the two batches.
+TEST(AllocGuardTest, WarmBatchPairAllocatesOnlyItsOutput) {
   ReplayWorld world;
   const web::PageLoad page = world.load();
+  ASSERT_FALSE(page.entries.empty());
   model::CoalescingModel model(world.env);
 
+  std::uint64_t page_copy = 0;
+  {
+    AllocGuard guard;
+    web::PageLoad copy = page;
+    escape(&copy);
+    page_copy = guard.allocations();
+  }
+  ASSERT_GT(page_copy, 0u);
+  const std::uint64_t per_page = 1 + page_copy;
+
   // Warm-up: interns every group symbol and sizes the thread-local
-  // scratch (clone_pages and the returned vectors allocate freely here).
-  (void)model.replay_batch(clone_pages(page, 4), "", 1);
+  // scratch.
+  (void)batch_pair_allocations(model, clone_pages(page, 4));
 
   constexpr std::size_t kSmall = 8;
   constexpr std::size_t kLarge = 16;
-  auto small_batch = clone_pages(page, kSmall);
-  auto large_batch = clone_pages(page, kLarge);
+  const auto small_batch = clone_pages(page, kSmall);
+  const auto large_batch = clone_pages(page, kLarge);
+  const std::uint64_t small = batch_pair_allocations(model, small_batch);
+  const std::uint64_t large = batch_pair_allocations(model, large_batch);
 
-  const std::uint64_t small = replay_allocations(model, std::move(small_batch));
-  const std::uint64_t large = replay_allocations(model, std::move(large_batch));
-
-  EXPECT_EQ(small, large)
-      << "replay allocations grew with batch size: the warm path is "
-         "allocating per page";
-  // The consume overload's fixed overhead: the ThreadPool's batch closure.
-  // Anything above a handful means a scratch arena regressed to cold.
-  EXPECT_LE(small, 4u);
+  EXPECT_EQ(large, small + (kLarge - kSmall) * per_page)
+      << "the warm batch pair allocates per page beyond its output";
+  ASSERT_GE(small, kSmall * per_page);
+  // What is left is per call, not per page: the two returned vectors and
+  // the two batches' dispatch, 8 allocations with GCC 12.2.
+  EXPECT_LE(small - kSmall * per_page, 8u) << "fixed overhead";
 }
 
 // The corpus digest folds each page's HAR text into the FNV state as it

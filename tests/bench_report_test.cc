@@ -58,8 +58,8 @@ TEST_F(BenchReportTest, FailingRunWritesNothing) {
                            "pipeline"),
             1);
   EXPECT_EQ(slurp("BENCH_pipeline.json"), committed);
-  EXPECT_EQ(bench::publish(parse("{}"), false, "model"), 1);
-  EXPECT_FALSE(fs::exists("BENCH_model.json"));
+  EXPECT_EQ(bench::publish(parse("{}"), false, "corpus"), 1);
+  EXPECT_FALSE(fs::exists("BENCH_corpus.json"));
 
   EXPECT_EQ(bench::publish(parse(R"({"deterministic": true, "pages": 2})"),
                            true, "pipeline"),

@@ -214,6 +214,27 @@ TEST_F(CrashResumeTest, ResumeAtEveryShardBoundary) {
   }
 }
 
+// A resume over a spill dir that does not exist yet is a fresh run: it
+// gives the uninterrupted StreamStats and does no recovery work at all.
+TEST_F(CrashResumeTest, ResumeWithoutASpillDirIsAFreshRun) {
+  ASSERT_FALSE(std::filesystem::exists(dir_));
+  dataset::Corpus corpus(corpus_options());
+  dataset::StreamingCorpus streaming(
+      corpus, streaming_options(dir_, 1, /*resume=*/true));
+  auto stats = streaming.run();
+  ASSERT_TRUE(stats.ok()) << stats.error().message;
+  expect_identical(baseline(), *stats);
+  const dataset::RecoveryStats& recovery = streaming.recovery();
+  EXPECT_EQ(recovery.stale_temps_swept, 0u);
+  EXPECT_EQ(recovery.stale_shards_removed, 0u);
+  EXPECT_EQ(recovery.manifest_records_replayed, 0u);
+  EXPECT_EQ(recovery.manifest_tail_bytes_dropped, 0u);
+  EXPECT_EQ(recovery.manifest_resets, 0u);
+  EXPECT_EQ(recovery.shards_reused, 0u);
+  EXPECT_EQ(recovery.shards_regenerated, 0u);
+  EXPECT_EQ(recovery.shards_quarantined, 0u);
+}
+
 // Resume rebuilds exactly the shards whose files are gone, also when they
 // are not adjacent: the loader lane prefetches the next shard to build
 // across the reused shard between them, and the rebuilt shards are

@@ -101,7 +101,6 @@ TEST(AuthoritativeDnsTest, LongestSuffixZoneWins) {
   auto records = dns.query("img.cdn.example.com", RecordType::kA);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].address, IpAddress::v4(2));
-  EXPECT_EQ(dns.query_count(), 1u);
 
   dns.add_zone("a.b.cdn.example.com");
   const auto apex_for = [&](const std::string& name) -> std::string {

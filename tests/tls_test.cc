@@ -159,8 +159,6 @@ TEST(TrustStoreTest, ValidationOutcomes) {
   forged.signature ^= 1;
   EXPECT_EQ(store.validate(forged, "good.com", t0()),
             TrustStore::Outcome::kBadSignature);
-
-  EXPECT_EQ(store.validation_count(), 6u);
 }
 
 TEST(CertStoreTest, SelectsExactOverWildcard) {

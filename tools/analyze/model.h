@@ -30,7 +30,7 @@ struct HotParam {
 // FileModel::tokens: begin is the token after the body's '{', end is the
 // index of the matching '}'. Declarations without bodies produce no entry.
 struct HotFunction {
-  std::string name;            // unqualified spelling, e.g. "replay_batch"
+  std::string name;            // unqualified spelling, e.g. "batch_join"
   std::size_t line = 0;        // line of the ORIGIN_HOT marker
   std::size_t body_begin = 0;  // first token inside the body
   std::size_t body_end = 0;    // token index of the closing '}'

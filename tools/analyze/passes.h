@@ -49,7 +49,7 @@ void run_lint_pass(const std::deque<FileModel>& corpus, FindingSink& sink);
 // Hot-transitive: the transitive closure of ORIGIN_HOT over call edges.
 // Every reachable unannotated callee gets the same body-level allocation
 // check as an annotated function (hot-transitive findings carry the full
-// hot call chain, e.g. `replay_batch -> batch_join -> helper`).
+// hot call chain, e.g. `serialize_frame -> ByteWriter::raw`).
 void run_hot_transitive_pass(const CallGraph& graph, FindingSink& sink);
 
 // Lock-order: util::MutexLock acquisition sequences per function, held-lock
